@@ -1,8 +1,9 @@
 """Vertex coloring over the symmetric edge view of an instance.
 
-The edge relation collapses arcs to unordered, loop-free pairs.  Two
-randomized heuristics colour it, both with worst-case palette size bounded by
-max degree + 1:
+The edge relation collapses arcs to unordered, loop-free pairs; the
+relation's cached ``neighbours`` map holds the same view as adjacency sets,
+and ``bogpc`` and the exact side read it.  Two randomized heuristics colour
+it, both with worst-case palette size bounded by max degree + 1:
 
 * ``bogpc`` grows one colour class at a time: layer the uncoloured subgraph
   from the class, scan the third region (and any unreached vertices) in
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import MultiTraversalRelation, VertexId, is_connected
@@ -39,14 +39,6 @@ class EdgeRelation:
 
     edges: frozenset[tuple[VertexId, VertexId]]
     vertices: frozenset[VertexId]
-
-    @cached_property
-    def adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
-        table: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            table[u].add(v)
-            table[v].add(u)
-        return {v: frozenset(nbrs) for v, nbrs in table.items()}
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -108,11 +100,8 @@ def to_edge_relation(g: MultiTraversalRelation) -> EdgeRelation:
     return EdgeRelation(edges=edges, vertices=g.vertices)
 
 
-def max_degree(source: MultiTraversalRelation | EdgeRelation) -> int:
-    e = source if isinstance(source, EdgeRelation) else to_edge_relation(source)
-    if not e.vertices:
-        return 0
-    return max(len(e.adjacency[v]) for v in e.vertices)
+def max_degree(g: MultiTraversalRelation) -> int:
+    return max(len(nbrs) for nbrs in g.neighbours.values())
 
 
 def build_opers(e: EdgeRelation, order: Sequence[VertexId]) -> Opers:
@@ -188,10 +177,9 @@ def bogpc(g: MultiTraversalRelation, seed: int) -> Coloring:
     whole neighbourhood is already coloured.
     """
     _require_connected(g)
-    e = to_edge_relation(g)
     rng = random.Random(seed)
-    adjacency = e.adjacency
-    uncoloured = set(e.vertices)
+    adjacency = g.neighbours
+    uncoloured = set(g.vertices)
     classes: list[frozenset[VertexId]] = []
     current = {rng.choice(sorted(uncoloured))}
     while True:
@@ -271,9 +259,8 @@ def enumerate_mcivs(g: MultiTraversalRelation, limit: int = 20) -> tuple[Interva
     """
     if g.n > limit:
         raise SizeLimitError(f"exact enumeration is capped at n <= {limit}, instance has {g.n}")
-    e = to_edge_relation(g)
-    adjacency = e.adjacency
-    verts = sorted(e.vertices)
+    adjacency = g.neighbours
+    verts = sorted(g.vertices)
     results: list[IntervalPartition] = []
     classes: list[set[VertexId]] = []
     remainder: set[VertexId] = set()
@@ -316,9 +303,8 @@ def chromatic_oracle(g: MultiTraversalRelation, limit: int = 12) -> int:
     """Exact chromatic number by backtracking; desk scale only."""
     if g.n > limit:
         raise SizeLimitError(f"chromatic oracle is capped at n <= {limit}, instance has {g.n}")
-    e = to_edge_relation(g)
-    adjacency = e.adjacency
-    order = sorted(e.vertices, key=lambda v: -len(adjacency[v]))
+    adjacency = g.neighbours
+    order = sorted(g.vertices, key=lambda v: -len(adjacency[v]))
     n = len(order)
 
     def colourable(k: int) -> bool:
@@ -357,8 +343,7 @@ def check_vbar_proposition(
     layout when one exists, or (False, None) as a recorded counterexample.
     The general claim is open; nothing here asserts it.
     """
-    e = to_edge_relation(g)
-    degrees = {len(e.adjacency[v]) for v in e.vertices}
+    degrees = {len(nbrs) for nbrs in g.neighbours.values()}
     if len(degrees) != 1:
         return None, None
     m = degrees.pop()

@@ -1,11 +1,15 @@
-"""Relational graph model: weighted arc multisets and their two canonical partitions.
+"""Relational graph model: weighted arc multisets and the views derived from them.
 
 A graph instance is a multiset of ordered vertex pairs (arcs), each carrying a
 positive integer multiplicity.  Grouping the arcs by tail vertex yields the
 weighted unit subgraphs (root with weighted leaves); grouping by head vertex
 yields the multiple visiting sets (weighted sources into one head).  Both
-groupings are partitions of the arc multiset and are the data structures the
-search, partition and coloring algorithms operate on.
+groupings are partitions of the arc multiset.
+
+The algorithms read views cached on the relation, each built once: the
+search engines read ``index_view`` (weighted out-rows over vertex indices),
+partition reads ``out_adjacency``, and connectivity and colouring read
+``neighbours`` (the symmetric, loop-free adjacency).
 
 Vertex ids are positive integers.  Isolated vertices cannot be represented:
 the vertex set of an instance is exactly the set of arc endpoints.
@@ -23,6 +27,9 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import DomainError, ParseError
 
 VertexId = int
+
+# out-rows over vertex indices 0..n-1: ascending (head index, weight) pairs
+IndexedAdjacency = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class Arc(NamedTuple):
@@ -92,6 +99,27 @@ class MultiTraversalRelation:
         for (tail, head), weight in self.arcs.items():
             into[head][tail] = weight
         return dict(into)
+
+    @cached_property
+    def index_view(self) -> tuple[list[VertexId], dict[VertexId, int], IndexedAdjacency]:
+        """Sorted ids, id -> index, and weighted out-rows over indices, self-loops dropped."""
+        ids = sorted(self.vertices)
+        index = {v: i for i, v in enumerate(ids)}
+        rows: list[list[tuple[int, int]]] = [[] for _ in ids]
+        for (tail, head), weight in self.arcs.items():
+            if tail != head:
+                rows[index[tail]].append((index[head], weight))
+        return ids, index, tuple(tuple(sorted(row)) for row in rows)
+
+    @cached_property
+    def neighbours(self) -> dict[VertexId, frozenset[VertexId]]:
+        """Vertex -> neighbours ignoring arc direction, self-loops dropped."""
+        table: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
+        for tail, head in self.arcs:
+            if tail != head:
+                table[tail].add(head)
+                table[head].add(tail)
+        return {v: frozenset(nbrs) for v, nbrs in table.items()}
 
 
 @dataclass(frozen=True)
@@ -212,10 +240,7 @@ def classify(g: MultiTraversalRelation) -> GraphClass:
 
 def is_connected(g: MultiTraversalRelation) -> bool:
     """True when the instance is one piece, ignoring arc direction."""
-    neighbours: dict[int, set[int]] = defaultdict(set)
-    for tail, head in g.arcs:
-        neighbours[tail].add(head)
-        neighbours[head].add(tail)
+    neighbours = g.neighbours
     start = next(iter(g.vertices))
     seen = {start}
     frontier = [start]

@@ -86,11 +86,8 @@ def partition(g: MultiTraversalRelation, seeds: Iterable[VertexId]) -> RegionSeq
         raise DomainError(f"seeds {missing} are not on the instance")
     if len(seed_set) >= g.n:
         raise DomainError("seed set must leave at least one vertex to partition")
-    adjacency = {
-        tail: [head for head in row if head != tail]
-        for tail, row in g.out_adjacency.items()
-    }
-    regions, stranded = layer_adjacency(adjacency, g.vertices, seed_set)
+    # a self-loop's head is in the frontier, hence already assigned
+    regions, stranded = layer_adjacency(g.out_adjacency, g.vertices, seed_set)
     return RegionSequence(
         regions=tuple(frozenset(r) for r in regions),
         seed_count=len(seed_set),

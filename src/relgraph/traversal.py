@@ -6,12 +6,19 @@ path consumes one unit of weight from every arc entering it, so the path can
 be extended to a vertex only while some arc into it has weight left.
 Self-loops are stored but never traversed.
 
+Both engines read the relation's cached ``index_view``: vertex ids remapped
+to 0..n-1 in ascending order, with weighted out-rows and no self-loops.
 ``bots_search`` realises the discipline literally, copying the weight table
 for every pending path and decrementing it arc by arc.  ``obots_search``
 reaches the same result by comparing stored weights against per-path
 occurrence counts, with no table copies.  Both push children in ascending id
 order onto a LIFO stack, so repeated runs are bit-identical and the two
 engines emit identical path sequences.
+
+One subtree search serves every mode: it collects or streams the paths and
+tallies Hamiltonian paths and cycles as leaves are reached.  A serial search
+runs it once from the start; with ``threads`` > 1 it runs in a process pool
+on each child of the start, and the parts merge in the serial order.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Callable, Mapping
 
 from .core import (
     GraphClass,
+    IndexedAdjacency,
     MultipleVisitingSet,
     MultiTraversalRelation,
     VertexId,
@@ -124,22 +132,6 @@ def enumerate_next(
 # Indexed engine internals (vertex ids remapped to 0..n-1, ascending)
 # ---------------------------------------------------------------------------
 
-IndexedAdjacency = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _index_graph(
-    g: MultiTraversalRelation,
-) -> tuple[list[VertexId], dict[VertexId, int], IndexedAdjacency]:
-    """Weighted out-adjacency over remapped indices, self-loops dropped."""
-    ids = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(ids)}
-    rows: list[list[tuple[int, int]]] = [[] for _ in ids]
-    for (tail, head), weight in g.arcs.items():
-        if tail != head:
-            rows[index[tail]].append((index[head], weight))
-    adj = tuple(tuple(sorted(row)) for row in rows)
-    return ids, index, adj
-
 
 def _obots_run(
     adj: IndexedAdjacency,
@@ -184,19 +176,15 @@ def _obots_run(
 
 
 def _bots_run(
-    arcs: dict[tuple[int, int], int],
-    n: int,
+    adj: IndexedAdjacency,
     prefix: tuple[int, ...],
     emit: Callable[[tuple[int, ...]], None] | None,
 ) -> tuple[int, int]:
     """Literal table search: pop a path, rebuild the decremented table, scan."""
-    out_rows: list[list[int]] = [[] for _ in range(n)]
-    in_rows: list[list[int]] = [[] for _ in range(n)]
+    arcs = {(t, h): w for t, row in enumerate(adj) for h, w in row}
+    in_rows: list[list[int]] = [[] for _ in adj]
     for t, h in arcs:
-        out_rows[t].append(h)
         in_rows[h].append(t)
-    for row in out_rows:
-        row.sort()
 
     loops = 0
     breadth = 0
@@ -211,7 +199,7 @@ def _bots_run(
                 if w > 0:
                     table[(u, v)] = w - 1
         end = path[-1]
-        extensions = [w for w in out_rows[end] if w != end and table[(end, w)] > 0]
+        extensions = [w for w, _ in adj[end] if table[(end, w)] > 0]
         if not extensions:
             breadth += 1
             if emit is not None:
@@ -221,37 +209,41 @@ def _bots_run(
     return loops, breadth
 
 
-def _run_engine(
-    engine: str,
-    adj: IndexedAdjacency,
-    arcs_by_index: dict[tuple[int, int], int],
-    prefix: tuple[int, ...],
-    emit,
-) -> tuple[int, int]:
-    if engine == "obots":
-        return _obots_run(adj, prefix, emit)
-    if engine == "bots":
-        return _bots_run(arcs_by_index, len(adj), prefix, emit)
-    raise DomainError(f"unknown engine {engine!r}")
+_ENGINES = {"obots": _obots_run, "bots": _bots_run}
+
+# one search job: engine, rows, prefix, whether paths are wanted, and the
+# indices with an arc into the start (None when Hamilton tallies are off)
+SubtreeJob = tuple[str, IndexedAdjacency, tuple[int, ...], bool, frozenset[int] | None]
 
 
-def _subtree_worker(args) -> tuple[int, int, list[tuple[int, ...]] | None, int, int]:
-    """Process-pool unit: search one root subtree, return merged counters."""
-    engine, adj, arcs_by_index, prefix, keep_paths, span, closure_rows = args
-    paths: list[tuple[int, ...]] | None = [] if keep_paths else None
+def _subtree(
+    job: SubtreeJob, deliver: Callable[[tuple[int, ...]], None] | None = None
+) -> tuple[int, int, list[tuple[int, ...]], int, int]:
+    """Search one subtree; return (loops, breadth, paths, HP, HC).
+
+    Wanted paths go to ``deliver`` as index tuples while the search runs.
+    Without ``deliver``, as in a pool worker, they are returned instead.
+    A Hamiltonian path visits every vertex once; it is also a cycle when its
+    end has an arc back to the start.
+    """
+    engine, adj, prefix, want_paths, closers = job
+    paths: list[tuple[int, ...]] = []
+    if deliver is None:
+        deliver = paths.append
+    span = len(adj)
     hp = hc = 0
 
     def emit(path) -> None:
         nonlocal hp, hc
-        if paths is not None:
-            paths.append(tuple(path))
-        if span and len(path) == span and len(set(path)) == span:
+        if want_paths:
+            deliver(tuple(path))
+        if closers is not None and len(path) == span and len(set(path)) == span:
             hp += 1
-            if path[0] in closure_rows[path[-1]]:
+            if path[-1] in closers:
                 hc += 1
 
-    sink = emit if (keep_paths or span) else None
-    loops, breadth = _run_engine(engine, adj, arcs_by_index, prefix, sink)
+    on_leaf = emit if (want_paths or closers is not None) else None
+    loops, breadth = _ENGINES[engine](adj, prefix, on_leaf)
     return loops, breadth, paths, hp, hc
 
 
@@ -266,60 +258,45 @@ def _search(
 ) -> tuple[TraversalResult, HamiltonStats]:
     if start not in g.vertices:
         raise DomainError(f"start vertex {start} is not on the instance")
-    ids, index, adj = _index_graph(g)
-    arcs_by_index = {(index[t], index[h]): w for (t, h), w in g.arcs.items()}
-    n = len(ids)
-    start_idx = index[start]
-    keep_paths = not counts_only
-    span = n if hamilton else 0
-    # closure is judged on the full stored relation, weights untouched
-    closure_rows: tuple[frozenset[int], ...] = tuple(
-        frozenset(w for w, _ in row) for row in adj
-    )
-
+    if engine not in _ENGINES:
+        raise DomainError(f"unknown engine {engine!r}")
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
+    ids, index, adj = g.index_view
+    root = index[start]
+    closers = None
+    if hamilton:
+        # closure is judged on the full stored relation, weights untouched
+        closers = frozenset(index[t] for t in g.in_adjacency.get(start, ()) if t != start)
     collected: list[tuple[int, ...]] = []
-    hp = hc = 0
 
-    def count_path(tpl: tuple[int, ...]) -> None:
-        nonlocal hp, hc
-        if keep_paths:
-            collected.append(tpl)
-        if span and len(tpl) == span and len(set(tpl)) == span:
-            hp += 1
-            if start_idx in closure_rows[tpl[-1]]:
-                hc += 1
+    def deliver(path: tuple[int, ...]) -> None:
+        if not counts_only:
+            collected.append(path)
         if sink is not None:
-            sink(tuple(ids[i] for i in tpl))
+            sink(tuple(ids[i] for i in path))
 
-    if threads <= 1:
-        emit = (lambda path: count_path(tuple(path))) if (keep_paths or span or sink) else None
-        loops, breadth = _run_engine(engine, adj, arcs_by_index, (start_idx,), emit)
-    else:
+    want_paths = sink is not None or not counts_only
+    if threads > 1 and adj[root]:
         # the root is on the path once and self-loops are absent from adj, so
-        # every stored out-arc of the start is an open child
-        children = [w for w, _ in adj[start_idx]]
-        loops, breadth = 1, 0
-        if not children:
-            breadth = 1
-            count_path((start_idx,))
-        else:
-            jobs = [
-                (engine, adj, arcs_by_index, (start_idx, child), keep_paths, span, closure_rows)
-                for child in children
-            ]
-            with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-                for sub_loops, sub_breadth, paths, sub_hp, sub_hc in pool.map(
-                    _subtree_worker, jobs
-                ):
-                    loops += sub_loops
-                    breadth += sub_breadth
-                    hp += sub_hp
-                    hc += sub_hc
-                    if paths is not None:
-                        collected.extend(paths)
-                        if sink is not None:
-                            for p in paths:
-                                sink(tuple(ids[i] for i in p))
+        # every stored out-arc of the start is an open child.  The serial LIFO
+        # stack expands the highest child first, so the children are mapped
+        # in descending order and merged in that order.
+        jobs = [(engine, adj, (root, w), want_paths, closers) for w, _ in reversed(adj[root])]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_subtree, jobs))
+        loops = 1  # the root itself
+    else:
+        parts = [_subtree((engine, adj, (root,), want_paths, closers), deliver)]
+        loops = 0
+    breadth = hp = hc = 0
+    for sub_loops, sub_breadth, paths, sub_hp, sub_hc in parts:
+        loops += sub_loops
+        breadth += sub_breadth
+        hp += sub_hp
+        hc += sub_hc
+        for path in paths:
+            deliver(path)
 
     result = TraversalResult(
         paths=tuple(SearchPath(tuple(ids[i] for i in p)) for p in collected),
@@ -346,10 +323,12 @@ def obots_search(
 ) -> TraversalResult:
     """Occurrence-counting exhaustive search from ``start``.
 
-    ``sink`` receives each maximal path as a vertex tuple as it is found;
-    with ``counts_only`` the result keeps loop and breadth counters but no
-    paths.  ``threads`` > 1 searches root subtrees in parallel processes;
-    the emitted path set is the same, delivered in subtree order.
+    ``sink`` receives each maximal path as a vertex tuple; with
+    ``counts_only`` the result keeps loop and breadth counters but no paths.
+    A serial search feeds the sink as paths are found.  ``threads`` > 1
+    searches the root's subtrees in parallel processes and delivers their
+    paths after the merge, in the serial order.  ``threads`` < 1 raises
+    :class:`DomainError`.
     """
     result, _ = _search(g, start, "obots", sink, counts_only, threads, hamilton=False)
     return result

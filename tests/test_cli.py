@@ -89,6 +89,13 @@ class TestTraverse:
         code, _, _ = run(capsys, "traverse", k5_file, "--start", "99")
         assert code == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_refusal(self, capsys, k5_file, threads):
+        code, out, err = run(capsys, "traverse", k5_file, "--start", "1", "--threads", threads)
+        assert code == 2
+        assert out == ""
+        assert "threads" in err
+
 
 class TestEuler:
     def test_small_table(self, capsys):

@@ -232,6 +232,34 @@ class TestConnectivity:
         g = MultiTraversalRelation.from_arcs([(1, 2), (3, 4)])
         assert not is_connected(g)
 
+    def test_self_loop_alone_is_not_a_bridge(self):
+        g = MultiTraversalRelation.from_arcs([(1, 2), (3, 3)])
+        assert not is_connected(g)
+        assert is_connected(MultiTraversalRelation.from_arcs([(1, 1), (1, 2), (2, 3)]))
+
     def test_relabel_requires_injection(self):
         with pytest.raises(DomainError):
             relabel(gen_path(2), {1: 7, 2: 7})
+
+
+class TestDerivedViews:
+    def test_index_view(self):
+        g = MultiTraversalRelation.from_arcs([(30, 10, 2), (10, 20), (10, 30), (20, 20, 5)])
+        ids, index, rows = g.index_view
+        assert ids == [10, 20, 30]
+        assert index == {10: 0, 20: 1, 30: 2}
+        # ascending (head index, weight) rows, the self-loop on 20 dropped
+        assert rows == (((1, 1), (2, 1)), (), ((0, 2),))
+        assert g.index_view is g.index_view
+
+    def test_neighbours_symmetric_and_loop_free(self, rnd):
+        for _ in range(20):
+            entries = [(rnd.randint(1, 8), rnd.randint(1, 8), rnd.randint(1, 3)) for _ in range(12)]
+            g = MultiTraversalRelation.from_arcs(entries)
+            expected = {v: set() for v in g.vertices}
+            for tail, head in g.arcs:
+                if tail != head:
+                    expected[tail].add(head)
+                    expected[head].add(tail)
+            assert g.neighbours == expected
+            assert g.neighbours is g.neighbours

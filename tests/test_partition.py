@@ -136,6 +136,20 @@ class TestLaws:
                     if gap >= 0:
                         assert b - a >= gap
 
+    def test_self_loops_ignored(self, rnd):
+        # a self-loop's head is already assigned, so loops never change a layering
+        for _ in range(30):
+            g = random_connected_symmetric(rnd, max_n=20)
+            arcs = [(t, h, w) for (t, h), w in g.arcs.items()]
+            looped_vertices = rnd.sample(sorted(g.vertices), k=max(1, g.n // 2))
+            looped = MultiTraversalRelation.from_arcs(arcs + [(v, v, 2) for v in looped_vertices])
+            seeds = set(rnd.sample(sorted(g.vertices), k=rnd.randint(1, g.n - 1)))
+            assert partition(looped, seeds) == partition(g, seeds)
+        directed = [(1, 2), (2, 3), (3, 4)]
+        looped = MultiTraversalRelation.from_arcs(directed + [(v, v) for v in range(1, 5)])
+        for seed in range(1, 5):
+            assert partition(looped, {seed}) == partition(MultiTraversalRelation.from_arcs(directed), {seed})
+
     def test_directed_arcs_only_forward(self):
         # directed instance: region index still matches directed BFS layering
         g = MultiTraversalRelation.from_arcs([(1, 2), (2, 3), (3, 1), (1, 4), (4, 3)])

@@ -167,17 +167,51 @@ class TestParallel:
         serial = obots_search(g, 1)
         par = obots_search(g, 1, threads=4)
         assert (serial.loop_count, serial.breadth) == (par.loop_count, par.breadth)
-        assert sorted(p.vertices for p in serial.paths) == sorted(p.vertices for p in par.paths)
+        assert [p.vertices for p in serial.paths] == [p.vertices for p in par.paths]
 
     def test_parallel_bots_and_reports(self):
         g = gen_cycle(6)
         a = bots_search(g, 2, threads=2)
         b = bots_search(g, 2)
-        assert sorted(p.vertices for p in a.paths) == sorted(p.vertices for p in b.paths)
+        assert [p.vertices for p in a.paths] == [p.vertices for p in b.paths]
         rs, ss = search_report(g, 2)
         rp, sp = search_report(g, 2, threads=3)
         assert (rs.loop_count, rs.breadth, ss.hamiltonian_paths, ss.hamiltonian_cycles) == (
             rp.loop_count, rp.breadth, sp.hamiltonian_paths, sp.hamiltonian_cycles)
+
+    def test_parallel_sink_under_counts_only(self):
+        g = gen_complete(5)
+        serial: list[tuple[int, ...]] = []
+        par: list[tuple[int, ...]] = []
+        obots_search(g, 1, sink=serial.append, counts_only=True)
+        res = obots_search(g, 1, sink=par.append, counts_only=True, threads=2)
+        assert res.paths == ()
+        assert len(par) == res.breadth == 24
+        assert par == serial
+
+    def test_parallel_sink_order_with_paths(self):
+        g = gen_dodecahedron()
+        seen: list[tuple[int, ...]] = []
+        res = obots_search(g, 3, sink=seen.append, threads=2)
+        assert seen == [p.vertices for p in res.paths]
+        assert seen == [p.vertices for p in obots_search(g, 3).paths]
+
+    def test_childless_start(self):
+        g = gen_path(3)
+        seen: list[tuple[int, ...]] = []
+        res = obots_search(g, 3, sink=seen.append, threads=2)
+        assert (res.loop_count, res.breadth) == (1, 1)
+        assert seen == [p.vertices for p in res.paths] == [(3,)]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        g = gen_complete(4)
+        with pytest.raises(DomainError):
+            obots_search(g, 1, threads=threads)
+        with pytest.raises(DomainError):
+            bots_search(g, 1, threads=threads)
+        with pytest.raises(DomainError):
+            search_report(g, 1, threads=threads)
 
 
 class TestHamilton:
