@@ -114,7 +114,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--algo", choices=["bogpc", "boerc"], default="bogpc")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--exact", action="store_true", help="enumerate interval layouts instead")
-    p.add_argument("--limit", type=int, default=20, help="size cap for --exact")
+    p.add_argument("--limit", type=int, default=12, help="size cap for --exact")
 
     p = sub.add_parser("sequences", parents=[shared], help="arc-sequence validators")
     p.add_argument("kind", choices=["trail", "path", "cycle", "medium", "chains", "minpower"])
@@ -304,6 +304,8 @@ def _cmd_color(args) -> int:
             params["chromatic"] = chromatic_oracle(g)
         _emit(args, params, ["classes", "layouts"], rows)
         return 0
+    if args.trials < 1:
+        raise DomainError(f"--trials must be at least 1, got {args.trials}")
     algo = bogpc if args.algo == "bogpc" else boerc
     counts: dict[int, int] = {}
     for trial in range(args.trials):

@@ -1,9 +1,9 @@
-"""Vertex coloring over the symmetric edge view of an instance.
+"""Vertex coloring over the relation's cached ``neighbours`` map.
 
-The edge relation collapses arcs to unordered, loop-free pairs; the
-relation's cached ``neighbours`` map holds the same view as adjacency sets,
-and ``bogpc`` and the exact side read it.  Two randomized heuristics colour
-it, both with worst-case palette size bounded by max degree + 1:
+An edge is an unordered, loop-free vertex pair, and ``neighbours`` holds
+every edge of the instance as adjacency sets; the heuristics, the checks and
+the exact side all read it.  Two randomized heuristics colour it, both with
+worst-case palette size bounded by max degree + 1:
 
 * ``bogpc`` grows one colour class at a time: layer the uncoloured subgraph
   from the class, scan the third region (and any unreached vertices) in
@@ -31,17 +31,6 @@ from typing import Iterable, Sequence
 from .core import MultiTraversalRelation, VertexId, is_connected
 from .errors import DomainError, SizeLimitError
 from .partition import layer_adjacency
-
-
-@dataclass(frozen=True)
-class EdgeRelation:
-    """Unordered loop-free vertex pairs; the coloring-side view of a graph."""
-
-    edges: frozenset[tuple[VertexId, VertexId]]
-    vertices: frozenset[VertexId]
-
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
 
 
 @dataclass(frozen=True)
@@ -90,21 +79,11 @@ class IntervalPartition:
         return len(self.classes) + len(self.remainder)
 
 
-def to_edge_relation(g: MultiTraversalRelation) -> EdgeRelation:
-    """Symmetrize the arcs into edges, dropping self-loops and multiplicities."""
-    edges = frozenset(
-        (min(tail, head), max(tail, head))
-        for tail, head in g.arcs
-        if tail != head
-    )
-    return EdgeRelation(edges=edges, vertices=g.vertices)
-
-
 def max_degree(g: MultiTraversalRelation) -> int:
     return max(len(nbrs) for nbrs in g.neighbours.values())
 
 
-def build_opers(e: EdgeRelation, order: Sequence[VertexId]) -> Opers:
+def build_opers(g: MultiTraversalRelation, order: Sequence[VertexId]) -> Opers:
     """Charge every edge to the endpoint earlier in ``order``.
 
     ``order`` must be a permutation of the vertex set.  Vertices left with no
@@ -112,18 +91,15 @@ def build_opers(e: EdgeRelation, order: Sequence[VertexId]) -> Opers:
     members it is itself an independent set, since any edge between two such
     vertices would have been charged to one of them.
     """
-    if sorted(order) != sorted(e.vertices):
+    if sorted(order) != sorted(g.vertices):
         raise DomainError("order must be a permutation of the vertex set")
     position = {v: i for i, v in enumerate(order)}
-    leaves: dict[VertexId, set[VertexId]] = {v: set() for v in order}
-    for u, v in e.edges:
-        earlier, later = (u, v) if position[u] < position[v] else (v, u)
-        leaves[earlier].add(later)
-    subgraphs = {
-        root: EdgeSubgraph(root=root, leaves=frozenset(ls))
-        for root, ls in leaves.items()
-        if ls
-    }
+    neighbours = g.neighbours
+    subgraphs = {}
+    for i, root in enumerate(order):
+        leaves = frozenset(v for v in neighbours[root] if position[v] > i)
+        if leaves:
+            subgraphs[root] = EdgeSubgraph(root=root, leaves=leaves)
     empty = frozenset(v for v in order if v not in subgraphs)
     return Opers(roots_order=tuple(order), subgraphs=subgraphs, empty_set=empty)
 
@@ -133,19 +109,23 @@ def verify_coloring(g: MultiTraversalRelation, colouring: Coloring) -> int:
     missing = g.vertices - colouring.assignment.keys()
     if missing:
         raise DomainError(f"assignment misses vertices {sorted(missing)}")
-    e = to_edge_relation(g)
-    for u, v in e.edges:
-        if colouring.assignment[u] == colouring.assignment[v]:
+    assignment = colouring.assignment
+    for u, nbrs in g.neighbours.items():
+        if any(assignment[u] == assignment[v] for v in nbrs):
             return 0
     return 1
 
 
-def is_civs(e: EdgeRelation, vertices: Iterable[VertexId]) -> int:
-    """1 iff the set has size >= 2 and contains no edge of ``e``."""
+def is_civs(g: MultiTraversalRelation, vertices: Iterable[VertexId]) -> int:
+    """1 iff the set has size >= 2 and contains no edge of the instance."""
     vs = list(vertices)
+    stray = set(vs) - g.vertices
+    if stray:
+        raise DomainError(f"vertices {sorted(stray)} are not on the instance")
     if len(vs) < 2 or len(set(vs)) != len(vs):
         return 0
-    return int(not any(e.has_edge(u, v) for u, v in itertools.combinations(vs, 2)))
+    neighbours = g.neighbours
+    return int(not any(v in neighbours[u] for u, v in itertools.combinations(vs, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +195,9 @@ def boerc(g: MultiTraversalRelation, seed: int) -> Coloring:
     degree + 1.
     """
     _require_connected(g)
-    e = to_edge_relation(g)
     rng = random.Random(seed)
-    order = _shuffled(e.vertices, rng)
-    opers = build_opers(e, order)
+    order = _shuffled(g.vertices, rng)
+    opers = build_opers(g, order)
     palette = [1, 2]
     recorded: dict[VertexId, set[int]] = {v: set() for v in order}
     assignment: dict[VertexId, int] = {}
@@ -246,7 +225,7 @@ def boerc(g: MultiTraversalRelation, seed: int) -> Coloring:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_mcivs(g: MultiTraversalRelation, limit: int = 20) -> tuple[IntervalPartition, ...]:
+def enumerate_mcivs(g: MultiTraversalRelation, limit: int = 12) -> tuple[IntervalPartition, ...]:
     """Every split of the vertices into independent size->=2 classes plus a clique.
 
     The remainder set must induce a complete subgraph (each of its vertices
@@ -293,7 +272,7 @@ def enumerate_mcivs(g: MultiTraversalRelation, limit: int = 20) -> tuple[Interva
     return tuple(results)
 
 
-def mcivs_lower_bound(g: MultiTraversalRelation, limit: int = 20) -> int:
+def mcivs_lower_bound(g: MultiTraversalRelation, limit: int = 12) -> int:
     """Minimum class-plus-remainder count over :func:`enumerate_mcivs`."""
     layouts = enumerate_mcivs(g, limit)
     return min(layout.bound for layout in layouts)
@@ -334,7 +313,7 @@ def chromatic_oracle(g: MultiTraversalRelation, limit: int = 12) -> int:
 
 
 def check_vbar_proposition(
-    g: MultiTraversalRelation, limit: int = 20
+    g: MultiTraversalRelation, limit: int = 12
 ) -> tuple[bool | None, IntervalPartition | None]:
     """Empirical probe: does some layout leave a remainder of at most one vertex?
 

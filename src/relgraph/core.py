@@ -1,15 +1,13 @@
 """Relational graph model: weighted arc multisets and the views derived from them.
 
 A graph instance is a multiset of ordered vertex pairs (arcs), each carrying a
-positive integer multiplicity.  Grouping the arcs by tail vertex yields the
-weighted unit subgraphs (root with weighted leaves); grouping by head vertex
-yields the multiple visiting sets (weighted sources into one head).  Both
-groupings are partitions of the arc multiset.
-
-The algorithms read views cached on the relation, each built once: the
-search engines read ``index_view`` (weighted out-rows over vertex indices),
-partition reads ``out_adjacency``, and connectivity and colouring read
-``neighbours`` (the symmetric, loop-free adjacency).
+positive integer multiplicity.  The relation caches every view derived from
+the arcs, each built once: ``out_adjacency`` groups the arcs by tail (the
+weighted unit subgraphs) and ``in_adjacency`` by head (the multiple visiting
+sets), both partitions of the arc multiset; the search engines read
+``index_view`` (weighted out-rows over vertex indices), partition reads
+``out_adjacency``, and connectivity and colouring read ``neighbours`` (the
+symmetric, loop-free adjacency).
 
 Vertex ids are positive integers.  Isolated vertices cannot be represented:
 the vertex set of an instance is exactly the set of arc endpoints.
@@ -86,7 +84,7 @@ class MultiTraversalRelation:
 
     @cached_property
     def out_adjacency(self) -> dict[VertexId, dict[VertexId, int]]:
-        """Tail -> {head: weight}, including self-loops."""
+        """Tail -> {head: weight}, self-loops included: the weighted unit subgraphs."""
         out: dict[VertexId, dict[VertexId, int]] = defaultdict(dict)
         for (tail, head), weight in self.arcs.items():
             out[tail][head] = weight
@@ -94,7 +92,7 @@ class MultiTraversalRelation:
 
     @cached_property
     def in_adjacency(self) -> dict[VertexId, dict[VertexId, int]]:
-        """Head -> {tail: weight}, including self-loops."""
+        """Head -> {tail: weight}, self-loops included: the multiple visiting sets."""
         into: dict[VertexId, dict[VertexId, int]] = defaultdict(dict)
         for (tail, head), weight in self.arcs.items():
             into[head][tail] = weight
@@ -120,22 +118,6 @@ class MultiTraversalRelation:
                 table[tail].add(head)
                 table[head].add(tail)
         return {v: frozenset(nbrs) for v, nbrs in table.items()}
-
-
-@dataclass(frozen=True)
-class WeightedUnitSubgraph:
-    """All arcs sharing one tail: the root and its weighted leaf set."""
-
-    root: VertexId
-    leaves: dict[VertexId, int]
-
-
-@dataclass(frozen=True)
-class MultipleVisitingSet:
-    """All arcs sharing one head: the weighted sources feeding one vertex."""
-
-    head: VertexId
-    sources: dict[VertexId, int]
 
 
 class GraphClass(enum.Enum):
@@ -189,24 +171,6 @@ def serialize_graph(g: MultiTraversalRelation) -> str:
 def load_graph(path: str, *, undirected: bool = False) -> MultiTraversalRelation:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_graph(handle.read(), undirected=undirected)
-
-
-def build_unit_subgraphs(g: MultiTraversalRelation) -> tuple[WeightedUnitSubgraph, ...]:
-    """Group the arcs by tail; the collection partitions the arc multiset."""
-    out = g.out_adjacency
-    return tuple(
-        WeightedUnitSubgraph(root=root, leaves=dict(sorted(out[root].items())))
-        for root in sorted(out)
-    )
-
-
-def build_visiting_sets(g: MultiTraversalRelation) -> tuple[MultipleVisitingSet, ...]:
-    """Group the arcs by head; the mirror image of :func:`build_unit_subgraphs`."""
-    into = g.in_adjacency
-    return tuple(
-        MultipleVisitingSet(head=head, sources=dict(sorted(into[head].items())))
-        for head in sorted(into)
-    )
 
 
 def classify(g: MultiTraversalRelation) -> GraphClass:

@@ -26,15 +26,13 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable
 
 from .core import (
     GraphClass,
     IndexedAdjacency,
-    MultipleVisitingSet,
     MultiTraversalRelation,
     VertexId,
-    WeightedUnitSubgraph,
     classify,
     is_connected,
 )
@@ -92,40 +90,6 @@ class HamiltonStats:
     def undirected_cycle_count(self) -> int:
         # each undirected Hamiltonian cycle is found once per direction
         return self.hamiltonian_cycles // 2
-
-
-def characteristic(
-    table: MultiTraversalRelation | Mapping[tuple[int, int], int],
-    u: VertexId,
-    v: VertexId,
-) -> int:
-    """1 iff arc (u, v) is present with remaining weight, else 0."""
-    weights = table.arcs if isinstance(table, MultiTraversalRelation) else table
-    return 1 if weights.get((u, v), 0) > 0 else 0
-
-
-def equivalent_visit(nu: MultipleVisitingSet) -> MultipleVisitingSet:
-    """One visit of the head: every source weight drops by 1, floored at 0."""
-    return MultipleVisitingSet(
-        head=nu.head,
-        sources={source: max(0, weight - 1) for source, weight in nu.sources.items()},
-    )
-
-
-def enumerate_next(
-    subgraph: WeightedUnitSubgraph, occurrence: Mapping[VertexId, int]
-) -> tuple[VertexId, ...]:
-    """Leaves still open for extension, ascending by id.
-
-    A leaf is open while its stored weight exceeds the number of times it
-    already appears on the current path.  The root's own self-loop is never
-    offered.
-    """
-    return tuple(
-        leaf
-        for leaf, weight in sorted(subgraph.leaves.items())
-        if leaf != subgraph.root and weight > occurrence.get(leaf, 0)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,22 @@ class TestColorCmd:
         cli.main(["gen", "cycleseq", "9", "3", "-o", str(path)])
         assert run(capsys, "color", str(path), "--exact", "--limit", "20")[0] == 2
 
+    def test_exact_default_cap_refuses_dodecahedron(self, capsys, tmp_path):
+        # n = 20 is past the default cap of 12, so the refusal comes before any enumeration
+        path = tmp_path / "dodeca.txt"
+        cli.main(["gen", "cycleseq", "5", "3", "-o", str(path)])
+        code, out, err = run(capsys, "color", str(path), "--exact")
+        assert code == 2
+        assert out == ""
+        assert "n <= 12" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_is_refusal(self, capsys, c5_file, trials):
+        code, out, err = run(capsys, "color", c5_file, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
+
 
 class TestSequencesCmd:
     def test_validators(self, capsys):

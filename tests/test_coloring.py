@@ -1,4 +1,4 @@
-"""Edge relation, OPERS, heuristics, interval layouts and oracles."""
+"""OPERS, heuristics, interval layouts and oracles."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from relgraph import (
     is_civs,
     max_degree,
     mcivs_lower_bound,
-    to_edge_relation,
     verify_coloring,
 )
 
@@ -39,87 +38,68 @@ def star(leaf_count: int) -> MultiTraversalRelation:
     return sym(*[(leaf, centre) for leaf in range(1, leaf_count + 1)])
 
 
-class TestEdgeRelation:
-    def test_collapses_multiplicity(self):
-        g = MultiTraversalRelation.from_arcs([(1, 2, 3)])
-        assert to_edge_relation(g).edges == {(1, 2)}
-
-    def test_drops_self_loops(self):
-        g = MultiTraversalRelation.from_arcs([(1, 1, 1), (1, 2, 1)])
-        assert to_edge_relation(g).edges == {(1, 2)}
-
-    def test_triangle(self):
-        e = to_edge_relation(gen_complete(3))
-        assert e.edges == {(1, 2), (1, 3), (2, 3)}
-        assert e.has_edge(3, 2)
-
-
 class TestOpers:
     def test_triangle_forward_order(self):
-        e = to_edge_relation(gen_complete(3))
-        opers = build_opers(e, (1, 2, 3))
+        opers = build_opers(gen_complete(3), (1, 2, 3))
         assert opers.subgraphs[1].leaves == {2, 3}
         assert opers.subgraphs[2].leaves == {3}
         assert 3 not in opers.subgraphs
         assert opers.empty_set == {3}
 
     def test_path_with_middle_first(self):
-        e = to_edge_relation(sym((1, 2), (2, 3)))
-        opers = build_opers(e, (2, 1, 3))
+        opers = build_opers(sym((1, 2), (2, 3)), (2, 1, 3))
         assert opers.subgraphs[2].leaves == {1, 3}
         assert opers.empty_set == {1, 3}
 
     def test_edge_conservation_any_order(self, rnd):
         for _ in range(25):
             g = random_connected_symmetric(rnd, max_n=15)
-            e = to_edge_relation(g)
-            order = sorted(e.vertices)
+            edges = {(min(t, h), max(t, h)) for t, h in g.arcs if t != h}
+            order = sorted(g.vertices)
             rnd.shuffle(order)
-            opers = build_opers(e, order)
+            opers = build_opers(g, order)
             rebuilt = set()
             for root, sub in opers.subgraphs.items():
                 for leaf in sub.leaves:
                     pair = (min(root, leaf), max(root, leaf))
                     assert pair not in rebuilt  # each edge charged exactly once
                     rebuilt.add(pair)
-            assert rebuilt == e.edges
+            assert rebuilt == edges
             assert len(opers.subgraphs) < len(order)
 
     def test_empty_set_is_independent(self, rnd):
         for _ in range(25):
             g = random_connected_symmetric(rnd, max_n=15)
-            e = to_edge_relation(g)
-            order = sorted(e.vertices)
+            order = sorted(g.vertices)
             rnd.shuffle(order)
-            lam_e = build_opers(e, order).empty_set
+            lam_e = build_opers(g, order).empty_set
             if len(lam_e) >= 2:
-                assert is_civs(e, lam_e) == 1
+                assert is_civs(g, lam_e) == 1
 
     def test_requires_permutation(self):
-        e = to_edge_relation(gen_complete(3))
+        g = gen_complete(3)
         with pytest.raises(DomainError):
-            build_opers(e, (1, 2))
+            build_opers(g, (1, 2))
         with pytest.raises(DomainError):
-            build_opers(e, (1, 2, 2))
+            build_opers(g, (1, 2, 2))
 
     def test_within_class_permutation_invariance(self):
         # swapping the two non-adjacent roots of a leading independent class
         # leaves every edge subgraph unchanged
-        e = to_edge_relation(gen_cycle(4))
-        a = build_opers(e, (1, 3, 2, 4))
-        b = build_opers(e, (3, 1, 2, 4))
+        g = gen_cycle(4)
+        a = build_opers(g, (1, 3, 2, 4))
+        b = build_opers(g, (3, 1, 2, 4))
         assert a.subgraphs == b.subgraphs
 
     def test_invariance_on_dodecahedron(self):
         g = gen_dodecahedron()
-        e = to_edge_relation(g)
         colouring = next(c for c in (bogpc(g, s) for s in range(200)) if c.k == 3)
         classes = [sorted(cls) for _, cls in sorted(colouring.classes.items())]
         tail = [v for cls in classes[1:] for v in cls]
         first = classes[0]
-        a = build_opers(e, tuple(first) + tuple(tail))
+        a = build_opers(g, tuple(first) + tuple(tail))
         swapped = [first[1], first[0]] + first[2:]
-        b = build_opers(e, tuple(swapped) + tuple(tail))
+        b = build_opers(g, tuple(swapped) + tuple(tail))
         assert a.subgraphs == b.subgraphs
 
 
@@ -140,10 +120,14 @@ class TestVerify:
 
 class TestCivs:
     def test_examples(self):
-        e = to_edge_relation(gen_cycle(4))
-        assert is_civs(e, {1, 3}) == 1
-        assert is_civs(e, {1}) == 0
-        assert is_civs(e, {1, 2}) == 0
+        g = gen_cycle(4)
+        assert is_civs(g, {1, 3}) == 1
+        assert is_civs(g, {1}) == 0
+        assert is_civs(g, {1, 2}) == 0
+
+    def test_stray_vertex_rejected(self):
+        with pytest.raises(DomainError):
+            is_civs(gen_cycle(4), {1, 3, 99})
 
 
 class TestHeuristics:

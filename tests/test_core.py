@@ -11,8 +11,6 @@ from relgraph import (
     GraphClass,
     MultiTraversalRelation,
     ParseError,
-    build_unit_subgraphs,
-    build_visiting_sets,
     classify,
     gen_complete,
     gen_cycle,
@@ -87,55 +85,51 @@ class TestParse:
 
 class TestPartitions:
     def test_unit_subgraphs_complete(self):
-        subs = build_unit_subgraphs(gen_complete(3))
-        assert [s.root for s in subs] == [1, 2, 3]
-        assert all(len(s.leaves) == 2 and set(s.leaves.values()) == {1} for s in subs)
+        out = gen_complete(3).out_adjacency
+        assert sorted(out) == [1, 2, 3]
+        assert all(len(leaves) == 2 and set(leaves.values()) == {1} for leaves in out.values())
 
     def test_unit_subgraphs_regrouping(self):
         g = MultiTraversalRelation.from_arcs([(1, 2, 2), (1, 3, 1), (3, 1, 1)])
-        subs = {s.root: s.leaves for s in build_unit_subgraphs(g)}
-        assert subs == {1: {2: 2, 3: 1}, 3: {1: 1}}
+        assert g.out_adjacency == {1: {2: 2, 3: 1}, 3: {1: 1}}
 
     def test_terminal_vertex_owns_no_subgraph(self):
-        subs = {s.root: s.leaves for s in build_unit_subgraphs(gen_path(3))}
-        assert subs == {1: {2: 1}, 2: {3: 1}}
+        assert gen_path(3).out_adjacency == {1: {2: 1}, 2: {3: 1}}
 
     def test_visiting_sets_complete(self):
-        sets = build_visiting_sets(gen_complete(3))
-        assert [v.head for v in sets] == [1, 2, 3]
-        assert all(len(v.sources) == 2 for v in sets)
+        into = gen_complete(3).in_adjacency
+        assert sorted(into) == [1, 2, 3]
+        assert all(len(sources) == 2 for sources in into.values())
 
     def test_visiting_sets_regrouping(self):
         g = MultiTraversalRelation.from_arcs([(1, 2, 2), (3, 2, 1)])
-        sets = {v.head: v.sources for v in build_visiting_sets(g)}
-        assert sets == {2: {1: 2, 3: 1}}
+        assert g.in_adjacency == {2: {1: 2, 3: 1}}
 
     def test_visiting_sets_path(self):
-        sets = {v.head: v.sources for v in build_visiting_sets(gen_path(3))}
-        assert sets == {2: {1: 1}, 3: {2: 1}}
+        assert gen_path(3).in_adjacency == {2: {1: 1}, 3: {2: 1}}
 
     @given(arc_entries)
     @settings(max_examples=80)
     def test_partition_laws(self, entries):
-        # union restores the multiset, no empty component, pairwise disjoint keys
+        # union restores the multiset, no empty component, each arc in exactly one component
         g = MultiTraversalRelation.from_arcs(entries)
-        subs = build_unit_subgraphs(g)
-        rebuilt = {(s.root, leaf): w for s in subs for leaf, w in s.leaves.items()}
+        out = g.out_adjacency
+        rebuilt = {(root, leaf): w for root, leaves in out.items() for leaf, w in leaves.items()}
         assert rebuilt == dict(g.arcs)
-        assert all(s.leaves for s in subs)
-        assert len({s.root for s in subs}) == len(subs)
+        assert all(out.values())
+        assert sum(len(leaves) for leaves in out.values()) == len(g.arcs)
 
-        sets = build_visiting_sets(g)
-        rebuilt = {(src, v.head): w for v in sets for src, w in v.sources.items()}
+        into = g.in_adjacency
+        rebuilt = {(src, head): w for head, sources in into.items() for src, w in sources.items()}
         assert rebuilt == dict(g.arcs)
-        assert all(v.sources for v in sets)
-        assert len({v.head for v in sets}) == len(sets)
+        assert all(into.values())
+        assert sum(len(sources) for sources in into.values()) == len(g.arcs)
 
     def test_weight_one_degeneration(self):
         # an unweighted relation round-trips with every multiplicity equal to 1
         g = gen_cycle(5)
-        assert all(w == 1 for s in build_unit_subgraphs(g) for w in s.leaves.values())
-        assert all(w == 1 for v in build_visiting_sets(g) for w in v.sources.values())
+        assert all(w == 1 for leaves in g.out_adjacency.values() for w in leaves.values())
+        assert all(w == 1 for sources in g.in_adjacency.values() for w in sources.values())
 
 
 class TestClassify:
@@ -263,3 +257,12 @@ class TestDerivedViews:
                     expected[head].add(tail)
             assert g.neighbours == expected
             assert g.neighbours is g.neighbours
+
+
+class TestPublicApi:
+    def test_all_names_resolve_without_duplicates(self):
+        import relgraph
+
+        assert len(relgraph.__all__) == len(set(relgraph.__all__))
+        for name in relgraph.__all__:
+            assert getattr(relgraph, name) is not None, name

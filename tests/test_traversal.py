@@ -1,4 +1,4 @@
-"""Search engine tests: operators, counts, bounds, equivalence, Hamilton tallies."""
+"""Search engine tests: counts, bounds, equivalence, Hamilton tallies."""
 
 from __future__ import annotations
 
@@ -10,13 +10,7 @@ import pytest
 from relgraph import (
     DomainError,
     MultiTraversalRelation,
-    MultipleVisitingSet,
-    WeightedUnitSubgraph,
     bots_search,
-    build_unit_subgraphs,
-    characteristic,
-    enumerate_next,
-    equivalent_visit,
     gen_complete,
     gen_cycle,
     gen_dodecahedron,
@@ -28,49 +22,6 @@ from relgraph import (
 )
 
 from conftest import brute_spanning_paths, random_connected_multigraph
-
-
-class TestOperators:
-    def test_characteristic_on_relation(self):
-        g = gen_complete(3)
-        assert characteristic(g, 1, 2) == 1
-        assert characteristic(g, 1, 1) == 0
-
-    def test_characteristic_on_decremented_table(self):
-        table = {(1, 2): 1}
-        nu = MultipleVisitingSet(head=2, sources={1: 1})
-        table[(1, 2)] = equivalent_visit(nu).sources[1]
-        assert characteristic(table, 1, 2) == 0
-
-    def test_equivalent_visit_single(self):
-        nu = MultipleVisitingSet(head=2, sources={1: 1, 3: 1})
-        assert equivalent_visit(nu).sources == {1: 0, 3: 0}
-
-    def test_equivalent_visit_repeated(self):
-        nu = MultipleVisitingSet(head=2, sources={1: 3})
-        assert equivalent_visit(equivalent_visit(nu)).sources == {1: 1}
-
-    def test_equivalent_visit_floors_at_zero(self):
-        nu = MultipleVisitingSet(head=2, sources={1: 1})
-        assert equivalent_visit(equivalent_visit(nu)).sources == {1: 0}
-
-    def test_enumerate_next_fresh(self):
-        sub = build_unit_subgraphs(gen_complete(3))[0]
-        assert enumerate_next(sub, {1: 1}) == (2, 3)
-
-    def test_enumerate_next_blocked(self):
-        subs = {s.root: s for s in build_unit_subgraphs(gen_complete(3))}
-        assert enumerate_next(subs[2], {1: 1, 2: 1}) == (3,)
-
-    def test_enumerate_next_weighted_revisit(self):
-        g = MultiTraversalRelation.from_arcs([(1, 2, 2), (2, 1, 2)])
-        subs = {s.root: s for s in build_unit_subgraphs(g)}
-        # path (1, 2, 1): vertex 2 appears once, its arc weight 2 admits a second visit
-        assert enumerate_next(subs[1], {1: 2, 2: 1}) == (2,)
-
-    def test_enumerate_next_skips_self_loop(self):
-        sub = WeightedUnitSubgraph(root=1, leaves={1: 3, 2: 1})
-        assert enumerate_next(sub, {1: 1}) == (2,)
 
 
 class TestSearchCounts:
