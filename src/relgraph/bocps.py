@@ -5,6 +5,11 @@ m2 (within the first block) or subtracts m1 (beyond it), booking the two
 moves in k1 and k2.  The cursor first returns to 1 when k1*m2 = k2*m1 with
 (k1, k2) minimal, after exactly (m1 + m2) / gcd(m1, m2) steps; the pair
 yields the gcd, the lcm and the reduced ratio of m1 : m2.
+
+:func:`bocps_batch` runs the cursor over numpy lanes one phase (an add run
+then a subtract run) at a time, on live lanes only: a lane leaves the arrays
+in the phase its cursor returns to 1.  Each lane needs min(m1, m2) / gcd
+phases, so the inputs bound the phase loop.
 """
 
 from __future__ import annotations
@@ -87,11 +92,15 @@ def bocps_batch(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """Run the cursor data-parallel over paired input arrays.
 
     Follows the same trajectory as :func:`bocps` with consecutive identical
-    moves run-length compressed: the cursor adds m2 while at or below m1 and
-    then subtracts m1 while above it, and each whole phase is applied in one
-    vectorised step.  The cursor can only sit at 1 at a subtract-phase end,
-    so no stop test is skipped; k1, k2 and the elementary step count come
-    out identical to the scalar loop's.  Returns (k1, k2, loops) arrays.
+    moves run-length compressed: each phase adds m2 while the cursor is at or
+    below m1, then subtracts m1 while it is above, each run in one vectorised
+    step.  The cursor can only sit at 1 at a subtract-run end, so no stop test
+    is skipped; k1 and k2 come out identical to the scalar loop's and loops is
+    k1 + k2.  A lane that reaches 1 is written out and dropped, so each phase
+    works on live lanes only.  Every lane needs exactly min(m1, m2) / gcd
+    phases, so a lane still live after max(min(m1, m2)) phases is an
+    :class:`InvariantViolation`.  The input arrays are not modified.  Returns
+    (k1, k2, loops) arrays shaped like the inputs.
     """
     m1 = np.asarray(m1, dtype=np.int64)
     m2 = np.asarray(m2, dtype=np.int64)
@@ -99,48 +108,29 @@ def bocps_batch(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         raise DomainError("input arrays must have matching shapes")
     if m1.size and (m1.min() < 1 or m2.min() < 1):
         raise DomainError("inputs must be positive integers")
-    size = m1.size
-    k1 = np.zeros(size, dtype=np.int64)
-    k2 = np.zeros(size, dtype=np.int64)
-    loops = np.zeros(size, dtype=np.int64)
-    s = np.ones(size, dtype=np.int64)
-    a1 = m1.ravel().copy()
-    a2 = m2.ravel().copy()
-    k1a = np.zeros(size, dtype=np.int64)
-    k2a = np.zeros(size, dtype=np.int64)
-    active = np.arange(size)
-    alive = np.ones(size, dtype=bool)
-    remaining = size
-    phases = 0
-    while remaining:
-        phases += 1
-        if phases > 8 * (size + 8):
-            raise InvariantViolation("batched cursor failed to converge")
+    k1 = np.zeros(m1.size, dtype=np.int64)
+    k2 = np.zeros(m1.size, dtype=np.int64)
+    lane = np.arange(m1.size)
+    a1 = m1.ravel()
+    a2 = m2.ravel()
+    s = np.ones(m1.size, dtype=np.int64)
+    q1 = np.zeros(m1.size, dtype=np.int64)
+    q2 = np.zeros(m1.size, dtype=np.int64)
+    for _ in range(int(np.minimum(a1, a2).max(initial=0))):
+        if not lane.size:
+            break
         q = (a1 - s) // a2 + 1  # adds while s <= m1; s stays above 1 throughout
         s += q * a2
-        k1a += q
+        q1 += q
         r = (s - 1) // a1  # subtracts until s <= m1 again
         s -= r * a1
-        k2a += r
-        done = s == 1  # finished lanes are parked on a 2-4-2 cycle, never at 1
-        nd = int(done.sum())
-        if nd:
-            idx = active[done]
-            k1[idx] = k1a[done]
-            k2[idx] = k2a[done]
-            loops[idx] = k1a[done] + k2a[done]
-            remaining -= nd
-            alive[done] = False
-            if remaining * 2 <= active.size:
-                active = active[alive]
-                s = s[alive]
-                a1 = a1[alive]
-                a2 = a2[alive]
-                k1a = k1a[alive]
-                k2a = k2a[alive]
-                alive = np.ones(active.size, dtype=bool)
-            else:
-                s[done] = 2
-                a1[done] = 2
-                a2[done] = 2
-    return k1.reshape(m1.shape), k2.reshape(m1.shape), loops.reshape(m1.shape)
+        q2 += r
+        done = s == 1
+        if done.any():
+            k1[lane[done]] = q1[done]
+            k2[lane[done]] = q2[done]
+            live = ~done
+            lane, a1, a2, s, q1, q2 = (x[live] for x in (lane, a1, a2, s, q1, q2))
+    if lane.size:
+        raise InvariantViolation("batched cursor failed to converge within min(m1, m2) phases")
+    return k1.reshape(m1.shape), k2.reshape(m1.shape), (k1 + k2).reshape(m1.shape)

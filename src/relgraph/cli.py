@@ -21,27 +21,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import core, sequences
 from .bocps import bocps
 from .coloring import bogpc, boerc, chromatic_oracle, enumerate_mcivs
-from .errors import DomainError, GraphError, InvariantViolation, ParseError, SizeLimitError
+from .errors import DomainError, GraphError, InvariantViolation, SizeLimitError
 from .partition import partition
 from .traversal import search_report, traversal_invariant
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """One traversal measurement row."""
-
-    label: str
-    loop_count: int
-    breadth: int
-    ratio: float
-    hamiltonian_paths: int
-    hamiltonian_cycles: int
-    wall_time: float
 
 
 class _UsageError(Exception):
@@ -114,7 +100,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--algo", choices=["bogpc", "boerc"], default="bogpc")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--exact", action="store_true", help="enumerate interval layouts instead")
-    p.add_argument("--limit", type=int, default=12, help="size cap for --exact")
 
     p = sub.add_parser("sequences", parents=[shared], help="arc-sequence validators")
     p.add_argument("kind", choices=["trail", "path", "cycle", "medium", "chains", "minpower"])
@@ -138,40 +123,21 @@ def _load(args) -> core.MultiTraversalRelation:
     return core.load_graph(args.file, undirected=args.undirected)
 
 
-def _report_row(label: str, g, start: int, algo: str, threads: int) -> ExperimentReport:
+def _report_row(args, label: str, g, start: int, algo: str) -> dict:
     t0 = time.perf_counter()
-    result, stats = search_report(g, start, engine=algo, threads=threads)
+    result, stats = search_report(g, start, engine=algo, threads=args.threads)
     elapsed = time.perf_counter() - t0
     ratio = result.loop_count / result.breadth if result.breadth else 0.0
-    return ExperimentReport(
-        label=label,
-        loop_count=result.loop_count,
-        breadth=result.breadth,
-        ratio=ratio,
-        hamiltonian_paths=stats.hamiltonian_paths,
-        hamiltonian_cycles=stats.hamiltonian_cycles,
-        wall_time=elapsed,
-    )
-
-
-def _report_columns(args) -> list[str]:
-    cols = ["label", "loop_count", "breadth", "ratio", "hp", "hc"]
-    if args.times:
-        cols.append("time_s")
-    return cols
-
-
-def _report_to_row(report: ExperimentReport, args) -> dict:
     row = {
-        "label": report.label,
-        "loop_count": report.loop_count,
-        "breadth": report.breadth,
-        "ratio": f"{report.ratio:.9f}",
-        "hp": report.hamiltonian_paths,
-        "hc": report.hamiltonian_cycles,
+        "label": label,
+        "loop_count": result.loop_count,
+        "breadth": result.breadth,
+        "ratio": f"{ratio:.9f}",
+        "hp": stats.hamiltonian_paths,
+        "hc": stats.hamiltonian_cycles,
     }
     if args.times:
-        row["time_s"] = f"{report.wall_time:.3f}"
+        row["time_s"] = f"{elapsed:.3f}"
     return row
 
 
@@ -210,9 +176,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_traverse(args) -> int:
     g = _load(args)
-    report = _report_row(args.file, g, args.start, args.algo, args.threads)
+    row = _report_row(args, args.file, g, args.start, args.algo)
     params = {"file": args.file, "start": args.start, "algo": args.algo, "threads": args.threads}
-    _emit(args, params, _report_columns(args), [_report_to_row(report, args)])
+    _emit(args, params, list(row), [row])
     return 0
 
 
@@ -223,10 +189,9 @@ def _cmd_euler(args) -> int:
         raise SizeLimitError("complete graphs beyond n=12 take hours; pass --force to insist")
     rows = []
     for n in range(3, args.n_max + 1):
-        report = _report_row(f"K{n}", core.gen_complete(n), 1, "obots", args.threads)
-        row = _report_to_row(report, args)
+        row = _report_row(args, f"K{n}", core.gen_complete(n), 1, "obots")
         row["n"] = n
-        row["abs_err"] = f"{abs(report.ratio - math.e):.9f}"
+        row["abs_err"] = f"{abs(row['loop_count'] / row['breadth'] - math.e):.9f}"
         rows.append(row)
     cols = ["n", "loop_count", "breadth", "ratio", "abs_err"]
     if args.times:
@@ -291,7 +256,11 @@ def _cmd_bocps(args) -> int:
 def _cmd_color(args) -> int:
     g = _load(args)
     if args.exact:
-        layouts = enumerate_mcivs(g, limit=args.limit)
+        if g.n > 12 and not args.force:
+            raise SizeLimitError(
+                f"exact enumeration is capped at n <= 12, instance has {g.n}; pass --force to insist"
+            )
+        layouts = enumerate_mcivs(g, limit=g.n)
         by_classes: dict[int, int] = {}
         for layout in layouts:
             by_classes[len(layout.classes)] = by_classes.get(len(layout.classes), 0) + 1
@@ -299,7 +268,7 @@ def _cmd_color(args) -> int:
             {"classes": k, "layouts": by_classes[k]} for k in sorted(by_classes)
         ]
         best = min(layout.bound for layout in layouts)
-        params = {"file": args.file, "limit": args.limit, "bound": best}
+        params = {"file": args.file, "bound": best}
         if g.n <= 12:
             params["chromatic"] = chromatic_oracle(g)
         _emit(args, params, ["classes", "layouts"], rows)
@@ -375,13 +344,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, SizeLimitError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InvariantViolation, AssertionError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -72,13 +72,31 @@ class TestOracle:
 
 
 class TestBatch:
-    def test_equals_scalar(self, rnd):
-        m1 = np.array([rnd.randint(1, 1000) for _ in range(400)])
-        m2 = np.array([rnd.randint(1, 1000) for _ in range(400)])
+    @pytest.mark.parametrize(
+        "m1, m2",
+        [
+            (None, None),  # 400 random lanes drawn from rnd
+            ([73], [74]),
+            ([999], [1000]),
+            ([1, 999], [1, 1000]),
+            (np.arange(1, 13).reshape(3, 4), np.arange(24, 0, -2).reshape(3, 4)),
+            ([], []),
+        ],
+        ids=["random", "73-74", "999-1000", "two-lanes", "3x4", "empty"],
+    )
+    def test_equals_scalar(self, rnd, m1, m2):
+        if m1 is None:
+            m1 = [rnd.randint(1, 1000) for _ in range(400)]
+            m2 = [rnd.randint(1, 1000) for _ in range(400)]
+        m1 = np.array(m1, dtype=np.int64)
+        m2 = np.array(m2, dtype=np.int64)
+        before = m1.copy(), m2.copy()
         k1, k2, loops = bocps_batch(m1, m2)
-        for i in range(m1.size):
+        assert k1.shape == k2.shape == loops.shape == m1.shape
+        for i in np.ndindex(m1.shape):
             res = bocps(int(m1[i]), int(m2[i]))
             assert (res.k1, res.k2, res.loops) == (int(k1[i]), int(k2[i]), int(loops[i]))
+        assert np.array_equal(m1, before[0]) and np.array_equal(m2, before[1])
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):

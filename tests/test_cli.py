@@ -179,7 +179,7 @@ class TestColorCmd:
     def test_exact_size_refusal(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         cli.main(["gen", "cycleseq", "9", "3", "-o", str(path)])
-        assert run(capsys, "color", str(path), "--exact", "--limit", "20")[0] == 2
+        assert run(capsys, "color", str(path), "--exact")[0] == 2
 
     def test_exact_default_cap_refuses_dodecahedron(self, capsys, tmp_path):
         # n = 20 is past the default cap of 12, so the refusal comes before any enumeration
@@ -189,6 +189,18 @@ class TestColorCmd:
         assert code == 2
         assert out == ""
         assert "n <= 12" in err
+
+    def test_force_lifts_exact_cap(self, capsys, tmp_path):
+        # K13 has a single layout, so lifting the cap costs nothing
+        path = tmp_path / "k13.txt"
+        cli.main(["gen", "complete", "13", "-o", str(path)])
+        code, out, err = run(capsys, "color", str(path), "--exact")
+        assert code == 2
+        assert out == ""
+        assert "--force" in err
+        code, out, _ = run(capsys, "--json", "--force", "color", str(path), "--exact")
+        assert code == 0
+        assert json.loads(out)["params"]["bound"] == 13
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trials_below_one_is_refusal(self, capsys, c5_file, trials):
