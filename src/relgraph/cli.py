@@ -6,9 +6,11 @@ complete graphs, the per-start invariant check, layered partition, the
 coefficient search, the coloring heuristics and exact enumeration, and the
 arc-sequence validators.
 
-Output is TSV by default and a single JSON document with ``--json``.  Wall
-times are printed only with ``--times`` so that default output is
-byte-identical across runs given the same seed.
+Flags follow the subcommand; each subcommand accepts only the flags it reads,
+and any other flag is a usage error.  Output is TSV by default and a single
+JSON document with ``--json``.  Wall times are printed only with ``--times``
+so that default output is byte-identical across runs given the same seed.
+``--force`` lifts the size guards of ``gen``, ``euler`` and ``color --exact``.
 
 Exit codes: 0 success, 1 usage error, 2 domain or size refusal, 3 internal
 invariant violation.
@@ -17,6 +19,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import sys
@@ -41,67 +44,66 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _global_flags(parser: _Parser, *, suppress: bool) -> None:
-    # the same flags are accepted before and after the subcommand; the
-    # subparser copies default to SUPPRESS so they never clobber values the
-    # root parser already recorded
-    off = argparse.SUPPRESS if suppress else False
-    parser.add_argument("--json", action="store_true", default=off, help="emit one JSON document")
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS if suppress else 0,
-                        help="base seed for randomized runs")
-    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS if suppress else 1,
-                        help="parallel subtree workers")
-    parser.add_argument("--undirected", action="store_true", default=off,
-                        help="mirror every arc on load")
-    parser.add_argument("--force", action="store_true", default=off,
-                        help="lift desk-scale size guards")
-    parser.add_argument("--times", action="store_true", default=off,
-                        help="include wall-time columns")
+# every flag a handler reads, declared only on the subcommands that read it
+_FLAGS = {
+    "--json": dict(action="store_true", help="emit one JSON document"),
+    "--seed": dict(type=int, default=0, help="base seed for randomized runs"),
+    "--threads": dict(type=int, default=1, help="parallel subtree workers"),
+    "--undirected": dict(action="store_true", help="mirror every arc on load"),
+    "--force": dict(action="store_true", help="lift desk-scale size guards"),
+    "--times": dict(action="store_true", help="include wall-time columns"),
+}
 
 
 def _build_parser() -> _Parser:
-    shared = _Parser(add_help=False)
-    _global_flags(shared, suppress=True)
-
     parser = _Parser(prog="relgraph")
-    _global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("gen", parents=[shared], help="write a generated instance")
-    p.add_argument("family", choices=["complete", "cycle", "path", "grid", "cycleseq", "dodecahedron"])
+    def command(name: str, help: str, *flags: str) -> _Parser:
+        # no prefix matching: it would read `partition --seed 5` as `--seeds 5`
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    p = command("gen", "write a generated instance", "--force")
+    p.add_argument("family", choices=list(_GEN_FAMILIES))
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("classify", parents=[shared], help="print the instance class")
+    p = command("classify", "print the instance class", "--json", "--undirected")
     p.add_argument("file")
 
-    p = sub.add_parser("traverse", parents=[shared], help="exhaustive search report")
+    p = command("traverse", "exhaustive search report",
+                "--json", "--threads", "--undirected", "--times")
     p.add_argument("file")
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--algo", choices=["obots", "bots"], default="obots")
 
-    p = sub.add_parser("euler", parents=[shared], help="loop/breadth ratios over complete graphs")
+    p = command("euler", "loop/breadth ratios over complete graphs",
+                "--json", "--threads", "--force", "--times")
     p.add_argument("--max", type=int, default=9, dest="n_max")
 
-    p = sub.add_parser("invariant", parents=[shared], help="per-start Hamiltonian cycle counts")
+    p = command("invariant", "per-start Hamiltonian cycle counts", "--json", "--undirected")
     p.add_argument("file")
 
-    p = sub.add_parser("partition", parents=[shared], help="layered region sequence")
+    p = command("partition", "layered region sequence", "--json", "--undirected")
     p.add_argument("file")
     p.add_argument("--seeds", required=True, help="comma-separated seed vertices")
 
-    p = sub.add_parser("bocps", parents=[shared], help="minimal coefficients, gcd and lcm")
+    p = command("bocps", "minimal coefficients, gcd and lcm", "--json")
     p.add_argument("m1", type=int)
     p.add_argument("m2", type=int)
     p.add_argument("--half-cap", action="store_true", help="use the halved (unproven) step budget")
 
-    p = sub.add_parser("color", parents=[shared], help="randomized coloring trials or exact enumeration")
+    p = command("color", "randomized coloring trials or exact enumeration",
+                "--json", "--seed", "--undirected", "--force")
     p.add_argument("file")
     p.add_argument("--algo", choices=["bogpc", "boerc"], default="bogpc")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--exact", action="store_true", help="enumerate interval layouts instead")
 
-    p = sub.add_parser("sequences", parents=[shared], help="arc-sequence validators")
+    p = command("sequences", "arc-sequence validators")
     p.add_argument("kind", choices=["trail", "path", "cycle", "medium", "chains", "minpower"])
     p.add_argument("numbers", nargs="*", type=int, help="N and m for minpower")
     p.add_argument("--arcs", default=None, help='arc list like "1-2,2-3,3-1"')
@@ -141,21 +143,27 @@ def _report_row(args, label: str, g, start: int, algo: str) -> dict:
     return row
 
 
+# family -> (parameter count, arc count of the instance, generator)
+_GEN_FAMILIES = {
+    "complete": (1, lambda n: n * (n - 1), core.gen_complete),
+    "cycle": (1, lambda n: 2 * n, core.gen_cycle),
+    "path": (1, lambda n: n - 1, core.gen_path),
+    "grid": (2, lambda r, c: 2 * (r * (c - 1) + c * (r - 1)), core.gen_grid),
+    "cycleseq": (2, lambda k, z: 6 * (z - 1) * k, core.gen_cycle_sequence),
+    "dodecahedron": (0, lambda: 60, core.gen_dodecahedron),
+}
+_GEN_ARC_CAP = 1_000_000
+
+
 def _cmd_gen(args) -> int:
-    family = args.family
-    p = args.params
-    makers = {
-        "complete": (1, lambda: core.gen_complete(p[0])),
-        "cycle": (1, lambda: core.gen_cycle(p[0])),
-        "path": (1, lambda: core.gen_path(p[0])),
-        "grid": (2, lambda: core.gen_grid(p[0], p[1])),
-        "cycleseq": (2, lambda: core.gen_cycle_sequence(p[0], p[1])),
-        "dodecahedron": (0, core.gen_dodecahedron),
-    }
-    arity, make = makers[family]
+    family, p = args.family, args.params
+    arity, arc_count, make = _GEN_FAMILIES[family]
     if len(p) != arity:
         raise _UsageError(f"{family} takes {arity} integer parameter(s), got {len(p)}")
-    text = core.serialize_graph(make())
+    arcs = arc_count(*(max(x, 0) for x in p))  # negative sizes meet the generator's refusal
+    if arcs > _GEN_ARC_CAP and not args.force:
+        raise SizeLimitError(f"{arcs} arcs exceed the {_GEN_ARC_CAP} cap; pass --force to insist")
+    text = core.serialize_graph(make(*p))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -261,12 +269,8 @@ def _cmd_color(args) -> int:
                 f"exact enumeration is capped at n <= 12, instance has {g.n}; pass --force to insist"
             )
         layouts = enumerate_mcivs(g, limit=g.n)
-        by_classes: dict[int, int] = {}
-        for layout in layouts:
-            by_classes[len(layout.classes)] = by_classes.get(len(layout.classes), 0) + 1
-        rows = [
-            {"classes": k, "layouts": by_classes[k]} for k in sorted(by_classes)
-        ]
+        by_classes = collections.Counter(len(layout.classes) for layout in layouts)
+        rows = [{"classes": k, "layouts": by_classes[k]} for k in sorted(by_classes)]
         best = min(layout.bound for layout in layouts)
         params = {"file": args.file, "bound": best}
         if g.n <= 12:
@@ -276,10 +280,7 @@ def _cmd_color(args) -> int:
     if args.trials < 1:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
     algo = bogpc if args.algo == "bogpc" else boerc
-    counts: dict[int, int] = {}
-    for trial in range(args.trials):
-        colouring = algo(g, args.seed + trial)
-        counts[colouring.k] = counts.get(colouring.k, 0) + 1
+    counts = collections.Counter(algo(g, args.seed + trial).k for trial in range(args.trials))
     rows = [
         {"k": k, "count": counts[k], "freq": f"{counts[k] / args.trials:.3f}"}
         for k in sorted(counts)

@@ -20,7 +20,7 @@ class DomainError(GraphError, ValueError):
 
 
 class SizeLimitError(DomainError):
-    """An instance exceeds a desk-scale size guard; pass force/limit to override."""
+    """An instance exceeds a size guard; CLI ``--force`` or library ``limit=`` lifts it."""
 
 
 class ConvergenceError(GraphError):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .core import (
@@ -41,18 +40,11 @@ from .errors import DomainError
 PathSink = Callable[[tuple[VertexId, ...]], None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchPath:
     """A maximal path emitted by the search."""
 
     vertices: tuple[VertexId, ...]
-
-    @cached_property
-    def occurrence(self) -> dict[VertexId, int]:
-        counts: dict[VertexId, int] = {}
-        for v in self.vertices:
-            counts[v] = counts.get(v, 0) + 1
-        return counts
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -232,13 +224,14 @@ def _search(
     if hamilton:
         # closure is judged on the full stored relation, weights untouched
         closers = frozenset(index[t] for t in g.in_adjacency.get(start, ()) if t != start)
-    collected: list[tuple[int, ...]] = []
+    collected: list[SearchPath] = []
 
     def deliver(path: tuple[int, ...]) -> None:
+        vertices = tuple(ids[i] for i in path)
         if not counts_only:
-            collected.append(path)
+            collected.append(SearchPath(vertices))
         if sink is not None:
-            sink(tuple(ids[i] for i in path))
+            sink(vertices)
 
     want_paths = sink is not None or not counts_only
     if threads > 1 and adj[root]:
@@ -263,7 +256,7 @@ def _search(
             deliver(path)
 
     result = TraversalResult(
-        paths=tuple(SearchPath(tuple(ids[i] for i in p)) for p in collected),
+        paths=tuple(collected),
         loop_count=loops,
         breadth=breadth,
         counts_only=counts_only,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -57,6 +59,33 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "complete", "1")
         assert code == 2
 
+    def test_arc_cap_refuses_before_building(self, capsys, tmp_path):
+        # K1001 has 1,001,000 arcs, one family member past the 1,000,000 cap
+        path = tmp_path / "k1001.txt"
+        code, out, err = run(capsys, "gen", "complete", "1001", "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert "--force" in err
+        assert not path.exists()
+
+    def test_force_lifts_arc_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_GEN_ARC_CAP", 19)
+        code, out, err = run(capsys, "gen", "complete", "5")
+        assert (code, out) == (2, "")
+        assert "20 arcs" in err
+        code, out, _ = run(capsys, "gen", "complete", "5", "--force")
+        assert code == 0
+        assert len(out.splitlines()) == 20
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [("complete", (7,)), ("cycle", (9,)), ("path", (6,)), ("grid", (3, 5)),
+         ("grid", (1, 4)), ("cycleseq", (4, 5)), ("dodecahedron", ())],
+    )
+    def test_arc_count_matches_generator(self, family, params):
+        _, arc_count, make = cli._GEN_FAMILIES[family]
+        assert arc_count(*params) == len(make(*params).arcs)
+
 
 class TestTraverse:
     def test_k5_row(self, capsys, k5_file):
@@ -68,7 +97,7 @@ class TestTraverse:
         assert fields[1:4] == ["65", "24", "2.708333333"]
 
     def test_json_document(self, capsys, k5_file):
-        code, out, _ = run(capsys, "--json", "traverse", k5_file, "--start", "1")
+        code, out, _ = run(capsys, "traverse", k5_file, "--start", "1", "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["command"] == "traverse"
@@ -81,7 +110,7 @@ class TestTraverse:
         assert first == second
 
     def test_times_flag_adds_column(self, capsys, k5_file):
-        code, out, _ = run(capsys, "--times", "traverse", k5_file, "--start", "1")
+        code, out, _ = run(capsys, "traverse", k5_file, "--start", "1", "--times")
         assert code == 0
         assert out.splitlines()[0].endswith("time_s")
 
@@ -159,18 +188,18 @@ class TestColorCmd:
     def test_trials_table(self, capsys, tmp_path):
         path = tmp_path / "c6.txt"
         cli.main(["gen", "cycle", "6", "-o", str(path)])
-        code, out, _ = run(capsys, "--seed", "5", "color", str(path), "--algo", "bogpc", "--trials", "20")
+        code, out, _ = run(capsys, "color", str(path), "--algo", "bogpc", "--trials", "20", "--seed", "5")
         assert code == 0
         assert out.strip().splitlines()[1].split("\t") == ["2", "20", "1.000"]
 
     def test_seeded_stability(self, capsys, c5_file):
-        args = ("--seed", "9", "color", c5_file, "--algo", "boerc", "--trials", "30")
+        args = ("color", c5_file, "--algo", "boerc", "--trials", "30", "--seed", "9")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
 
     def test_exact_summary(self, capsys, c5_file):
-        code, out, _ = run(capsys, "--json", "color", c5_file, "--exact")
+        code, out, _ = run(capsys, "color", c5_file, "--exact", "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["params"]["bound"] == 3
@@ -198,7 +227,7 @@ class TestColorCmd:
         assert code == 2
         assert out == ""
         assert "--force" in err
-        code, out, _ = run(capsys, "--json", "--force", "color", str(path), "--exact")
+        code, out, _ = run(capsys, "color", str(path), "--exact", "--json", "--force")
         assert code == 0
         assert json.loads(out)["params"]["bound"] == 13
 
@@ -239,8 +268,85 @@ class TestClassifyCmd:
         path = tmp_path / "half.txt"
         path.write_text("1 2\n2 3\n")
         assert run(capsys, "classify", str(path))[1].strip() == "Directed"
-        assert run(capsys, "--undirected", "classify", str(path))[1].strip() == "Simple"
+        assert run(capsys, "classify", str(path), "--undirected")[1].strip() == "Simple"
 
     def test_missing_file_is_refusal(self, capsys, tmp_path):
         code, _, _ = run(capsys, "classify", str(tmp_path / "absent.txt"))
         assert code == 2
+
+
+# the flags each subcommand reads; every other (subcommand, flag) pair is refused
+ACCEPTED = {
+    "gen": {"--force"},
+    "classify": {"--json", "--undirected"},
+    "invariant": {"--json", "--undirected"},
+    "partition": {"--json", "--undirected"},
+    "traverse": {"--json", "--threads", "--undirected", "--times"},
+    "euler": {"--json", "--threads", "--force", "--times"},
+    "bocps": {"--json"},
+    "color": {"--json", "--seed", "--undirected", "--force"},
+    "sequences": set(),
+}
+BASE_ARGV = {
+    "gen": ["gen", "complete", "5"],
+    "classify": ["classify", "g.txt"],
+    "invariant": ["invariant", "g.txt"],
+    "partition": ["partition", "g.txt", "--seeds", "1"],
+    "traverse": ["traverse", "g.txt", "--start", "1"],
+    "euler": ["euler", "--max", "4"],
+    "bocps": ["bocps", "4", "6"],
+    "color": ["color", "g.txt"],
+    "sequences": ["sequences", "cycle", "--arcs", "1-2,2-1"],
+}
+FLAG_ARGV = {
+    "--json": ["--json"],
+    "--seed": ["--seed", "5"],
+    "--threads": ["--threads", "3"],
+    "--undirected": ["--undirected"],
+    "--force": ["--force"],
+    "--times": ["--times"],
+}
+REFUSED = [
+    pytest.param(BASE_ARGV[cmd] + FLAG_ARGV[flag], id=f"{cmd} {flag}")
+    for cmd in ACCEPTED
+    for flag in FLAG_ARGV
+    if flag not in ACCEPTED[cmd]
+] + [
+    pytest.param(["invariant", "g.txt", "--threads", "0"], id="invariant --threads 0"),
+    pytest.param(["--json", "classify", "g.txt"], id="--json before classify"),
+    pytest.param(["--force", "gen", "complete", "5"], id="--force before gen"),
+    pytest.param(["--seed", "5", "--threads", "3", "bocps", "4", "6"], id="--seed --threads before bocps"),
+]
+
+
+class TestFlagScope:
+    @pytest.mark.parametrize("argv", REFUSED)
+    def test_unread_flag_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "cmd, flag", [(cmd, flag) for cmd in ACCEPTED for flag in sorted(ACCEPTED[cmd])]
+    )
+    def test_read_flag_parses(self, cmd, flag):
+        args = cli._build_parser().parse_args(BASE_ARGV[cmd] + FLAG_ARGV[flag])
+        assert getattr(args, flag[2:]) == {"--seed": 5, "--threads": 3}.get(flag, True)
+
+    def test_readme_commands_parse(self):
+        # every relgraph line of the README's command-line block parses as written
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        commands = [
+            piece.strip()
+            for line in block.splitlines()
+            for piece in line.split("#", 1)[0].split("&&")
+            if piece.strip()
+        ]
+        assert len(commands) >= 12
+        parser = cli._build_parser()
+        for command in commands:
+            argv = shlex.split(command)
+            assert argv[0] == "relgraph", command
+            parser.parse_args(argv[1:])

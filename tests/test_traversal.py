@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 
@@ -93,7 +94,7 @@ class TestEngineEquivalence:
             res = obots_search(g, start)
             for path in res.paths:
                 assert len(path.vertices) <= limit
-                for v, count in path.occurrence.items():
+                for v, count in collections.Counter(path.vertices).items():
                     if v == start:
                         assert count <= max(1, caps.get(v, 0))
                     else:
