@@ -11,16 +11,12 @@ desk-scale oracles.
 from .bocps import BocpsResult, bocps, bocps_batch, gcd_of, lcm_of, minimal_ratio
 from .coloring import (
     Coloring,
-    EdgeSubgraph,
     IntervalPartition,
-    Opers,
     bogpc,
     boerc,
-    build_opers,
     check_vbar_proposition,
     chromatic_oracle,
     enumerate_mcivs,
-    is_civs,
     max_degree,
     mcivs_lower_bound,
     verify_coloring,
@@ -86,14 +82,12 @@ __all__ = [
     "ConvergenceError",
     "CyclePermutation",
     "DomainError",
-    "EdgeSubgraph",
     "GraphClass",
     "GraphError",
     "HamiltonStats",
     "IntervalPartition",
     "InvariantViolation",
     "MultiTraversalRelation",
-    "Opers",
     "ParseError",
     "RegionSequence",
     "SearchPath",
@@ -104,7 +98,6 @@ __all__ = [
     "bogpc",
     "boerc",
     "bots_search",
-    "build_opers",
     "chains_of",
     "check_vbar_proposition",
     "chromatic_oracle",
@@ -119,7 +112,6 @@ __all__ = [
     "gen_grid",
     "gen_path",
     "hamilton_stats",
-    "is_civs",
     "is_connected",
     "is_cycle",
     "is_path",

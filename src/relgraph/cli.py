@@ -10,7 +10,8 @@ Flags follow the subcommand; each subcommand accepts only the flags it reads,
 and any other flag is a usage error.  Output is TSV by default and a single
 JSON document with ``--json``.  Wall times are printed only with ``--times``
 so that default output is byte-identical across runs given the same seed.
-``--force`` lifts the size guards of ``gen``, ``euler`` and ``color --exact``.
+``--force`` lifts the size guards of ``gen``, ``euler`` and ``color --exact``;
+``--threads N`` starts at most N workers, and no more than the start has children.
 
 Exit codes: 0 success, 1 usage error, 2 domain or size refusal, 3 internal
 invariant violation.
@@ -27,7 +28,7 @@ import time
 
 from . import core, sequences
 from .bocps import bocps
-from .coloring import bogpc, boerc, chromatic_oracle, enumerate_mcivs
+from .coloring import EXACT_CAP, bogpc, boerc, chromatic_oracle, enumerate_mcivs
 from .errors import DomainError, GraphError, InvariantViolation, SizeLimitError
 from .partition import partition
 from .traversal import search_report, traversal_invariant
@@ -48,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "--json": dict(action="store_true", help="emit one JSON document"),
     "--seed": dict(type=int, default=0, help="base seed for randomized runs"),
-    "--threads": dict(type=int, default=1, help="parallel subtree workers"),
+    "--threads": dict(type=int, default=1, help="at most this many subtree workers"),
     "--undirected": dict(action="store_true", help="mirror every arc on load"),
     "--force": dict(action="store_true", help="lift desk-scale size guards"),
     "--times": dict(action="store_true", help="include wall-time columns"),
@@ -264,16 +265,12 @@ def _cmd_bocps(args) -> int:
 def _cmd_color(args) -> int:
     g = _load(args)
     if args.exact:
-        if g.n > 12 and not args.force:
-            raise SizeLimitError(
-                f"exact enumeration is capped at n <= 12, instance has {g.n}; pass --force to insist"
-            )
-        layouts = enumerate_mcivs(g, limit=g.n)
+        layouts = enumerate_mcivs(g, force=args.force)
         by_classes = collections.Counter(len(layout.classes) for layout in layouts)
         rows = [{"classes": k, "layouts": by_classes[k]} for k in sorted(by_classes)]
         best = min(layout.bound for layout in layouts)
         params = {"file": args.file, "bound": best}
-        if g.n <= 12:
+        if g.n <= EXACT_CAP:
             params["chromatic"] = chromatic_oracle(g)
         _emit(args, params, ["classes", "layouts"], rows)
         return 0

@@ -10,60 +10,44 @@ worst-case palette size bounded by max degree + 1:
   seeded-random order, and admit every vertex with no edge into the growing
   class; repeat until a pass admits nothing, so every emitted class is a
   maximal independent set of what remained.
-* ``boerc`` colours a seeded-random root order against an ordered edge
-  subgraph partition (each edge charged to its earlier endpoint), drawing
-  uniformly from the palette minus the colours recorded by earlier
-  neighbours and extending the palette only when that difference is empty.
+* ``boerc`` colours a seeded-random root order; each coloured vertex
+  records its colour on every neighbour not yet coloured, and a vertex
+  draws uniformly from the palette minus its records, extending the palette
+  only when that difference is empty.
 
 The exact side enumerates every split of the vertex set into independent
 classes of size >= 2 plus a clique remainder; the smallest class-plus-
 remainder count over the family equals the chromatic number, which a
-desk-scale brute-force oracle confirms independently.
+desk-scale brute-force oracle confirms independently.  Both are capped at
+``EXACT_CAP`` vertices; ``enumerate_mcivs(g, force=True)`` lifts the cap of
+the enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import MultiTraversalRelation, VertexId, is_connected
 from .errors import DomainError, SizeLimitError
 from .partition import layer_adjacency
 
 
-@dataclass(frozen=True)
-class EdgeSubgraph:
-    root: VertexId
-    leaves: frozenset[VertexId]
-
-
-@dataclass(frozen=True)
-class Opers:
-    """Ordered partition of the edge relation: each edge charged to its earlier root."""
-
-    roots_order: tuple[VertexId, ...]
-    subgraphs: dict[VertexId, EdgeSubgraph]
-    empty_set: frozenset[VertexId]
+# Exact colouring is desk scale: the layout count grows about 6x per vertex,
+# so a cycle at the cap already takes seconds to enumerate and the
+# dodecahedron (n = 20) does not finish.
+EXACT_CAP = 12
 
 
 @dataclass(frozen=True)
 class Coloring:
     assignment: dict[VertexId, int]
-    classes: dict[int, frozenset[VertexId]]
     k: int
 
     @classmethod
     def from_assignment(cls, assignment: dict[VertexId, int]) -> "Coloring":
-        classes: dict[int, set[VertexId]] = {}
-        for v, colour in assignment.items():
-            classes.setdefault(colour, set()).add(v)
-        return cls(
-            assignment=dict(assignment),
-            classes={c: frozenset(vs) for c, vs in classes.items()},
-            k=len(classes),
-        )
+        return cls(assignment=dict(assignment), k=len(set(assignment.values())))
 
 
 @dataclass(frozen=True)
@@ -83,27 +67,6 @@ def max_degree(g: MultiTraversalRelation) -> int:
     return max(len(nbrs) for nbrs in g.neighbours.values())
 
 
-def build_opers(g: MultiTraversalRelation, order: Sequence[VertexId]) -> Opers:
-    """Charge every edge to the endpoint earlier in ``order``.
-
-    ``order`` must be a permutation of the vertex set.  Vertices left with no
-    edges of their own form the empty subgraph set; when it has two or more
-    members it is itself an independent set, since any edge between two such
-    vertices would have been charged to one of them.
-    """
-    if sorted(order) != sorted(g.vertices):
-        raise DomainError("order must be a permutation of the vertex set")
-    position = {v: i for i, v in enumerate(order)}
-    neighbours = g.neighbours
-    subgraphs = {}
-    for i, root in enumerate(order):
-        leaves = frozenset(v for v in neighbours[root] if position[v] > i)
-        if leaves:
-            subgraphs[root] = EdgeSubgraph(root=root, leaves=leaves)
-    empty = frozenset(v for v in order if v not in subgraphs)
-    return Opers(roots_order=tuple(order), subgraphs=subgraphs, empty_set=empty)
-
-
 def verify_coloring(g: MultiTraversalRelation, colouring: Coloring) -> int:
     """1 iff no edge of the instance joins two vertices of one colour."""
     missing = g.vertices - colouring.assignment.keys()
@@ -114,18 +77,6 @@ def verify_coloring(g: MultiTraversalRelation, colouring: Coloring) -> int:
         if any(assignment[u] == assignment[v] for v in nbrs):
             return 0
     return 1
-
-
-def is_civs(g: MultiTraversalRelation, vertices: Iterable[VertexId]) -> int:
-    """1 iff the set has size >= 2 and contains no edge of the instance."""
-    vs = list(vertices)
-    stray = set(vs) - g.vertices
-    if stray:
-        raise DomainError(f"vertices {sorted(stray)} are not on the instance")
-    if len(vs) < 2 or len(set(vs)) != len(vs):
-        return 0
-    neighbours = g.neighbours
-    return int(not any(v in neighbours[u] for u, v in itertools.combinations(vs, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +140,15 @@ def boerc(g: MultiTraversalRelation, seed: int) -> Coloring:
     """Ordered-root colouring against recorded forbidden colours.
 
     Roots are coloured in a seeded-random order; colouring a root records its
-    colour with every later neighbour.  A root draws uniformly from the
-    palette minus its records, starting from the palette (1, 2) and growing
-    it only when no colour is free, so the palette never needs to pass max
-    degree + 1.
+    colour on every neighbour not yet coloured.  A root draws uniformly from
+    the palette minus its records, starting from the palette (1, 2) and
+    growing it only when no colour is free, so the palette never needs to
+    pass max degree + 1.
     """
     _require_connected(g)
     rng = random.Random(seed)
     order = _shuffled(g.vertices, rng)
-    opers = build_opers(g, order)
+    neighbours = g.neighbours
     palette = [1, 2]
     recorded: dict[VertexId, set[int]] = {v: set() for v in order}
     assignment: dict[VertexId, int] = {}
@@ -213,10 +164,9 @@ def boerc(g: MultiTraversalRelation, seed: int) -> Coloring:
             else:
                 colour = rng.choice(free)
         assignment[x] = colour
-        sub = opers.subgraphs.get(x)
-        if sub is not None:
-            for later in sub.leaves:
-                recorded[later].add(colour)
+        for v in neighbours[x]:
+            if v not in assignment:
+                recorded[v].add(colour)
     return Coloring.from_assignment(assignment)
 
 
@@ -225,7 +175,7 @@ def boerc(g: MultiTraversalRelation, seed: int) -> Coloring:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_mcivs(g: MultiTraversalRelation, limit: int = 12) -> tuple[IntervalPartition, ...]:
+def enumerate_mcivs(g: MultiTraversalRelation, *, force: bool = False) -> tuple[IntervalPartition, ...]:
     """Every split of the vertices into independent size->=2 classes plus a clique.
 
     The remainder set must induce a complete subgraph (each of its vertices
@@ -234,10 +184,14 @@ def enumerate_mcivs(g: MultiTraversalRelation, limit: int = 12) -> tuple[Interva
     ``bound`` over the family equals the chromatic number: an optimal
     colouring's size->=2 classes and (pairwise adjacent) singletons form a
     member of the family, and every member yields a proper colouring of its
-    own size.
+    own size.  Instances above ``EXACT_CAP`` vertices are refused unless
+    ``force`` is set.
     """
-    if g.n > limit:
-        raise SizeLimitError(f"exact enumeration is capped at n <= {limit}, instance has {g.n}")
+    if g.n > EXACT_CAP and not force:
+        raise SizeLimitError(
+            f"exact enumeration is capped at n <= {EXACT_CAP}, instance has {g.n}; "
+            "pass --force to insist"
+        )
     adjacency = g.neighbours
     verts = sorted(g.vertices)
     results: list[IntervalPartition] = []
@@ -272,16 +226,15 @@ def enumerate_mcivs(g: MultiTraversalRelation, limit: int = 12) -> tuple[Interva
     return tuple(results)
 
 
-def mcivs_lower_bound(g: MultiTraversalRelation, limit: int = 12) -> int:
+def mcivs_lower_bound(g: MultiTraversalRelation) -> int:
     """Minimum class-plus-remainder count over :func:`enumerate_mcivs`."""
-    layouts = enumerate_mcivs(g, limit)
-    return min(layout.bound for layout in layouts)
+    return min(layout.bound for layout in enumerate_mcivs(g))
 
 
-def chromatic_oracle(g: MultiTraversalRelation, limit: int = 12) -> int:
+def chromatic_oracle(g: MultiTraversalRelation) -> int:
     """Exact chromatic number by backtracking; desk scale only."""
-    if g.n > limit:
-        raise SizeLimitError(f"chromatic oracle is capped at n <= {limit}, instance has {g.n}")
+    if g.n > EXACT_CAP:
+        raise SizeLimitError(f"chromatic oracle is capped at n <= {EXACT_CAP}, instance has {g.n}")
     adjacency = g.neighbours
     order = sorted(g.vertices, key=lambda v: -len(adjacency[v]))
     n = len(order)
@@ -312,9 +265,7 @@ def chromatic_oracle(g: MultiTraversalRelation, limit: int = 12) -> int:
     return n
 
 
-def check_vbar_proposition(
-    g: MultiTraversalRelation, limit: int = 12
-) -> tuple[bool | None, IntervalPartition | None]:
+def check_vbar_proposition(g: MultiTraversalRelation) -> tuple[bool | None, IntervalPartition | None]:
     """Empirical probe: does some layout leave a remainder of at most one vertex?
 
     Applies only to instances whose vertices all share one degree m with
@@ -328,7 +279,7 @@ def check_vbar_proposition(
     m = degrees.pop()
     if not 2 <= m < g.n - 1:
         return None, None
-    for layout in enumerate_mcivs(g, limit):
+    for layout in enumerate_mcivs(g):
         if len(layout.remainder) <= 1:
             return True, layout
     return False, None

@@ -169,8 +169,13 @@ def serialize_graph(g: MultiTraversalRelation) -> str:
 
 
 def load_graph(path: str, *, undirected: bool = False) -> MultiTraversalRelation:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read(), undirected=undirected)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_graph(text, undirected=undirected)
 
 
 def classify(g: MultiTraversalRelation) -> GraphClass:

@@ -20,7 +20,7 @@ class DomainError(GraphError, ValueError):
 
 
 class SizeLimitError(DomainError):
-    """An instance exceeds a size guard; CLI ``--force`` or library ``limit=`` lifts it."""
+    """An instance exceeds a size guard; CLI ``--force`` or library ``force=True`` lifts it."""
 
 
 class ConvergenceError(GraphError):

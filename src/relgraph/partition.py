@@ -22,7 +22,6 @@ class RegionSequence:
     """Ordered regions produced by one partition run."""
 
     regions: tuple[frozenset[VertexId], ...]
-    seed_count: int
     stranded: frozenset[VertexId]
 
     @cached_property
@@ -39,10 +38,6 @@ class RegionSequence:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(region) for region in self.regions)
-
-    def region_index(self, v: VertexId) -> int:
-        """1-based index of the region holding ``v``; KeyError when stranded."""
-        return self._region_of[v] + 1
 
 
 def layer_adjacency(
@@ -90,7 +85,6 @@ def partition(g: MultiTraversalRelation, seeds: Iterable[VertexId]) -> RegionSeq
     regions, stranded = layer_adjacency(g.out_adjacency, g.vertices, seed_set)
     return RegionSequence(
         regions=tuple(frozenset(r) for r in regions),
-        seed_count=len(seed_set),
         stranded=frozenset(stranded),
     )
 
@@ -102,4 +96,4 @@ def region_distance(r: RegionSequence, v: VertexId) -> int:
     shortest-path distance; with several seeds it is the distance to the
     closest one.  Raises KeyError for stranded or unknown vertices.
     """
-    return r.region_index(v) - 1
+    return r._region_of[v]

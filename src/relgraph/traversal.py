@@ -240,7 +240,8 @@ def _search(
         # stack expands the highest child first, so the children are mapped
         # in descending order and merged in that order.
         jobs = [(engine, adj, (root, w), want_paths, closers) for w, _ in reversed(adj[root])]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        # under fork every worker starts up front, so never start more than jobs
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             parts = list(pool.map(_subtree, jobs))
         loops = 1  # the root itself
     else:
@@ -283,9 +284,9 @@ def obots_search(
     ``sink`` receives each maximal path as a vertex tuple; with
     ``counts_only`` the result keeps loop and breadth counters but no paths.
     A serial search feeds the sink as paths are found.  ``threads`` > 1
-    searches the root's subtrees in parallel processes and delivers their
-    paths after the merge, in the serial order.  ``threads`` < 1 raises
-    :class:`DomainError`.
+    searches the root's subtrees in at most ``threads`` parallel processes,
+    one per subtree at most, and delivers their paths after the merge, in
+    the serial order.  ``threads`` < 1 raises :class:`DomainError`.
     """
     result, _ = _search(g, start, "obots", sink, counts_only, threads, hamilton=False)
     return result

@@ -274,6 +274,14 @@ class TestClassifyCmd:
         code, _, _ = run(capsys, "classify", str(tmp_path / "absent.txt"))
         assert code == 2
 
+    def test_non_utf8_file_is_refusal(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 2\n\xff 3\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: not UTF-8 text\n"
+
 
 # the flags each subcommand reads; every other (subcommand, flag) pair is refused
 ACCEPTED = {

@@ -19,6 +19,7 @@ from relgraph import (
     gen_grid,
     gen_path,
     is_connected,
+    load_graph,
     parse_graph,
     random_relabel,
     relabel,
@@ -67,6 +68,13 @@ class TestParse:
         assert exc.value.line == 2
         with pytest.raises(ParseError):
             parse_graph("1 x\n")
+
+    def test_non_utf8_file_reports_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 2\n\xff 3\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+            load_graph(str(path))
+        assert exc.value.line == 2
 
     def test_nonpositive_values_rejected(self):
         with pytest.raises(DomainError):

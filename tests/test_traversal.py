@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import concurrent.futures
 import math
 import random
 
@@ -154,6 +155,33 @@ class TestParallel:
         res = obots_search(g, 3, sink=seen.append, threads=2)
         assert (res.loop_count, res.breadth) == (1, 1)
         assert seen == [p.vertices for p in res.paths] == [(3,)]
+
+    def test_pool_never_larger_than_its_jobs(self, monkeypatch):
+        # under fork every worker starts up front, so the pool is sized to the
+        # root's children; the stand-in pool records the size and maps in-process
+        sizes: list[int] = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return list(map(fn, jobs))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        g = gen_cycle(6)
+        par = obots_search(g, 1, threads=64)
+        assert [p.vertices for p in par.paths] == [p.vertices for p in obots_search(g, 1).paths]
+        rp, sp = search_report(gen_dodecahedron(), 1, threads=64)
+        assert (rp.breadth, sp.hamiltonian_paths, sp.hamiltonian_cycles) == (3120, 162, 60)
+        obots_search(gen_complete(5), 1, threads=2)
+        assert sizes == [2, 3, 2]
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
