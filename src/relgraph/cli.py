@@ -28,7 +28,7 @@ import time
 
 from . import core, sequences
 from .bocps import bocps
-from .coloring import EXACT_CAP, bogpc, boerc, chromatic_oracle, enumerate_mcivs
+from .coloring import bogpc, boerc, chromatic_oracle, enumerate_mcivs
 from .errors import DomainError, GraphError, InvariantViolation, SizeLimitError
 from .partition import partition
 from .traversal import search_report, traversal_invariant
@@ -269,9 +269,8 @@ def _cmd_color(args) -> int:
         by_classes = collections.Counter(len(layout.classes) for layout in layouts)
         rows = [{"classes": k, "layouts": by_classes[k]} for k in sorted(by_classes)]
         best = min(layout.bound for layout in layouts)
-        params = {"file": args.file, "bound": best}
-        if g.n <= EXACT_CAP:
-            params["chromatic"] = chromatic_oracle(g)
+        chromatic = chromatic_oracle(g, force=args.force)
+        params = {"file": args.file, "bound": best, "chromatic": chromatic}
         _emit(args, params, ["classes", "layouts"], rows)
         return 0
     if args.trials < 1:

@@ -19,8 +19,7 @@ The exact side enumerates every split of the vertex set into independent
 classes of size >= 2 plus a clique remainder; the smallest class-plus-
 remainder count over the family equals the chromatic number, which a
 desk-scale brute-force oracle confirms independently.  Both are capped at
-``EXACT_CAP`` vertices; ``enumerate_mcivs(g, force=True)`` lifts the cap of
-the enumeration.
+``EXACT_CAP`` vertices; ``force=True`` lifts the cap of either.
 """
 
 from __future__ import annotations
@@ -231,10 +230,16 @@ def mcivs_lower_bound(g: MultiTraversalRelation) -> int:
     return min(layout.bound for layout in enumerate_mcivs(g))
 
 
-def chromatic_oracle(g: MultiTraversalRelation) -> int:
-    """Exact chromatic number by backtracking; desk scale only."""
-    if g.n > EXACT_CAP:
-        raise SizeLimitError(f"chromatic oracle is capped at n <= {EXACT_CAP}, instance has {g.n}")
+def chromatic_oracle(g: MultiTraversalRelation, *, force: bool = False) -> int:
+    """Exact chromatic number by backtracking; desk scale only.
+
+    Instances above ``EXACT_CAP`` vertices are refused unless ``force`` is set.
+    """
+    if g.n > EXACT_CAP and not force:
+        raise SizeLimitError(
+            f"chromatic oracle is capped at n <= {EXACT_CAP}, instance has {g.n}; "
+            "pass --force to insist"
+        )
     adjacency = g.neighbours
     order = sorted(g.vertices, key=lambda v: -len(adjacency[v]))
     n = len(order)

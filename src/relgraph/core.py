@@ -172,7 +172,7 @@ def load_graph(path: str, *, undirected: bool = False) -> MultiTraversalRelation
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
     return parse_graph(text, undirected=undirected)

@@ -81,8 +81,18 @@ class TestBatch:
             ([1, 999], [1, 1000]),
             (np.arange(1, 13).reshape(3, 4), np.arange(24, 0, -2).reshape(3, 4)),
             ([], []),
+            ([5, 1000], [5, 1000]),
+            # (2, 4) returns at every phase from phase 1 on and stays present
+            # until (992, 1000) finishes at phase 124, so a later return must
+            # not overwrite it
+            ([2, *range(991, 1000)], [4] + [1000] * 9),
+            ([7 * 2**27], [5 * 2**27]),  # int32 lanes, just below the boundary
+            ([5 * 2**27], [7 * 2**27]),
+            ([7 * 2**28], [5 * 2**28]),  # int64 lanes, above it
+            ([5 * 2**28], [7 * 2**28]),
         ],
-        ids=["random", "73-74", "999-1000", "two-lanes", "3x4", "empty"],
+        ids=["random", "73-74", "999-1000", "two-lanes", "3x4", "empty", "equal", "early-finisher",
+             "int32-max", "int32-max-swapped", "int64", "int64-swapped"],
     )
     def test_equals_scalar(self, rnd, m1, m2):
         if m1 is None:
@@ -93,6 +103,7 @@ class TestBatch:
         before = m1.copy(), m2.copy()
         k1, k2, loops = bocps_batch(m1, m2)
         assert k1.shape == k2.shape == loops.shape == m1.shape
+        assert k1.dtype == k2.dtype == loops.dtype == np.int64
         for i in np.ndindex(m1.shape):
             res = bocps(int(m1[i]), int(m2[i]))
             assert (res.k1, res.k2, res.loops) == (int(k1[i]), int(k2[i]), int(loops[i]))

@@ -229,7 +229,8 @@ class TestColorCmd:
         assert "--force" in err
         code, out, _ = run(capsys, "color", str(path), "--exact", "--json", "--force")
         assert code == 0
-        assert json.loads(out)["params"]["bound"] == 13
+        params = json.loads(out)["params"]
+        assert (params["bound"], params["chromatic"]) == (13, 13)
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trials_below_one_is_refusal(self, capsys, c5_file, trials):
@@ -281,6 +282,13 @@ class TestClassifyCmd:
         assert code == 2
         assert out == ""
         assert err == "error: line 2: not UTF-8 text\n"
+
+    def test_utf8_bom_file_classifies(self, capsys, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(b"1 2\n2 1\n")
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf1 2\n2 1\n")
+        assert run(capsys, "classify", str(bom)) == run(capsys, "classify", str(plain))
 
 
 # the flags each subcommand reads; every other (subcommand, flag) pair is refused

@@ -170,13 +170,14 @@ class TestExact:
     def test_size_refusals(self):
         with pytest.raises(SizeLimitError, match="n <= 12, instance has 13; pass --force"):
             enumerate_mcivs(gen_cycle(13))
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="n <= 12, instance has 20; pass --force"):
             chromatic_oracle(gen_dodecahedron())
 
     def test_force_lifts_enumeration_cap(self):
         # K13 has a single layout, so lifting the cap costs nothing
         (layout,) = enumerate_mcivs(gen_complete(13), force=True)
         assert layout.bound == 13
+        assert chromatic_oracle(gen_complete(13), force=True) == 13
 
     @pytest.mark.parametrize("make, expect", [
         (lambda: gen_cycle(5), 3),

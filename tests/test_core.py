@@ -76,6 +76,13 @@ class TestParse:
             load_graph(str(path))
         assert exc.value.line == 2
 
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(b"1 2\n2 1\n")
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf1 2\n2 1\n")
+        assert load_graph(str(bom)).arcs == load_graph(str(plain)).arcs == {(1, 2): 1, (2, 1): 1}
+
     def test_nonpositive_values_rejected(self):
         with pytest.raises(DomainError):
             parse_graph("0 2\n")
