@@ -40,7 +40,6 @@ from .core import (
     serialize_graph,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     GraphError,
     InvariantViolation,
@@ -79,7 +78,6 @@ __all__ = [
     "ArcSequence",
     "BocpsResult",
     "Coloring",
-    "ConvergenceError",
     "CyclePermutation",
     "DomainError",
     "GraphClass",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -35,24 +35,15 @@ class BocpsResult:
     loops: int
 
 
-def _validate(m1: int, m2: int) -> None:
-    if m1 < 1 or m2 < 1:
-        raise DomainError(f"inputs must be positive integers, got ({m1}, {m2})")
-
-
-def bocps(m1: int, m2: int, *, half_cap: bool = False) -> BocpsResult:
+def bocps(m1: int, m2: int) -> BocpsResult:
     """Run the cursor until it returns to 1; at most m1 + m2 steps.
 
-    ``half_cap`` swaps the step budget for max(m1, m2) // 2 whenever that
-    exceeds min(m1, m2).  The tighter budget is an unproven optimisation and
-    genuinely starves some inputs (for instance (100, 3) needs 103 steps);
-    a starved run raises :class:`ConvergenceError` rather than returning a
-    wrong pair, which is why the flag is off by default.
+    The cursor needs exactly (m1 + m2) / gcd(m1, m2) steps, so a cursor
+    still away from 1 after m1 + m2 steps is an :class:`InvariantViolation`.
     """
-    _validate(m1, m2)
+    if m1 < 1 or m2 < 1:
+        raise DomainError(f"inputs must be positive integers, got ({m1}, {m2})")
     cap = m1 + m2
-    if half_cap and max(m1, m2) // 2 > min(m1, m2):
-        cap = max(m1, m2) // 2
     s = 1
     k1 = k2 = 0
     loops = 0
@@ -67,10 +58,6 @@ def bocps(m1: int, m2: int, *, half_cap: bool = False) -> BocpsResult:
         if s == 1:
             break
     if s != 1:
-        if half_cap:
-            raise ConvergenceError(
-                f"cursor did not return within the halved budget {cap} for ({m1}, {m2})"
-            )
         raise InvariantViolation(f"cursor failed to return within {cap} steps for ({m1}, {m2})")
     return BocpsResult(k1=k1, k2=k2, loops=loops)
 

@@ -10,8 +10,11 @@ Flags follow the subcommand; each subcommand accepts only the flags it reads,
 and any other flag is a usage error.  Output is TSV by default and a single
 JSON document with ``--json``.  Wall times are printed only with ``--times``
 so that default output is byte-identical across runs given the same seed.
-``--force`` lifts the size guards of ``gen``, ``euler`` and ``color --exact``;
-``--threads N`` starts at most N workers, and no more than the start has children.
+A flag that the chosen mode does not read is a usage error too:
+``color --exact`` reads no trial flag, ``sequences minpower`` no ``--arcs``,
+and the other ``sequences`` kinds no numbers.  ``--force`` lifts the size
+guards of ``gen``, ``euler``, ``bocps`` and ``color --exact``; ``--threads N``
+starts at most N workers, and no more than the start has children.
 
 Exit codes: 0 success, 1 usage error, 2 domain or size refusal, 3 internal
 invariant violation.
@@ -48,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 # every flag a handler reads, declared only on the subcommands that read it
 _FLAGS = {
     "--json": dict(action="store_true", help="emit one JSON document"),
-    "--seed": dict(type=int, default=0, help="base seed for randomized runs"),
+    "--seed": dict(type=int, help="base seed for randomized runs (default 0)"),
     "--threads": dict(type=int, default=1, help="at most this many subtree workers"),
     "--undirected": dict(action="store_true", help="mirror every arc on load"),
     "--force": dict(action="store_true", help="lift desk-scale size guards"),
@@ -79,7 +82,6 @@ def _build_parser() -> _Parser:
                 "--json", "--threads", "--undirected", "--times")
     p.add_argument("file")
     p.add_argument("--start", type=int, required=True)
-    p.add_argument("--algo", choices=["obots", "bots"], default="obots")
 
     p = command("euler", "loop/breadth ratios over complete graphs",
                 "--json", "--threads", "--force", "--times")
@@ -92,16 +94,15 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--seeds", required=True, help="comma-separated seed vertices")
 
-    p = command("bocps", "minimal coefficients, gcd and lcm", "--json")
+    p = command("bocps", "minimal coefficients, gcd and lcm", "--json", "--force")
     p.add_argument("m1", type=int)
     p.add_argument("m2", type=int)
-    p.add_argument("--half-cap", action="store_true", help="use the halved (unproven) step budget")
 
     p = command("color", "randomized coloring trials or exact enumeration",
                 "--json", "--seed", "--undirected", "--force")
     p.add_argument("file")
-    p.add_argument("--algo", choices=["bogpc", "boerc"], default="bogpc")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--algo", choices=["bogpc", "boerc"], help="default bogpc")
+    p.add_argument("--trials", type=int, help="default 1")
     p.add_argument("--exact", action="store_true", help="enumerate interval layouts instead")
 
     p = command("sequences", "arc-sequence validators")
@@ -112,23 +113,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, params: dict, columns: list[str], rows: list[dict]) -> None:
+def _emit(
+    args, params: dict, columns: list[str], rows: list[dict], verdict: str | None = None
+) -> None:
     if args.json:
         doc = {"command": args.command, "params": params, "rows": rows}
+        if verdict is not None:
+            doc["verdict"] = verdict
         print(json.dumps(doc, sort_keys=True))
     else:
         print("\t".join(columns))
         for row in rows:
             print("\t".join(str(row[c]) for c in columns))
+        if verdict is not None:
+            print(verdict)
 
 
 def _load(args) -> core.MultiTraversalRelation:
     return core.load_graph(args.file, undirected=args.undirected)
 
 
-def _report_row(args, label: str, g, start: int, algo: str) -> dict:
+def _report_row(args, label: str, g, start: int) -> dict:
     t0 = time.perf_counter()
-    result, stats = search_report(g, start, engine=algo, threads=args.threads)
+    result, stats = search_report(g, start, threads=args.threads)
     elapsed = time.perf_counter() - t0
     ratio = result.loop_count / result.breadth if result.breadth else 0.0
     row = {
@@ -185,8 +192,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_traverse(args) -> int:
     g = _load(args)
-    row = _report_row(args, args.file, g, args.start, args.algo)
-    params = {"file": args.file, "start": args.start, "algo": args.algo, "threads": args.threads}
+    row = _report_row(args, args.file, g, args.start)
+    params = {"file": args.file, "start": args.start, "threads": args.threads}
     _emit(args, params, list(row), [row])
     return 0
 
@@ -198,7 +205,7 @@ def _cmd_euler(args) -> int:
         raise SizeLimitError("complete graphs beyond n=12 take hours; pass --force to insist")
     rows = []
     for n in range(3, args.n_max + 1):
-        row = _report_row(args, f"K{n}", core.gen_complete(n), 1, "obots")
+        row = _report_row(args, f"K{n}", core.gen_complete(n), 1)
         row["n"] = n
         row["abs_err"] = f"{abs(row['loop_count'] / row['breadth'] - math.e):.9f}"
         rows.append(row)
@@ -215,19 +222,7 @@ def _cmd_invariant(args) -> int:
     values = set(counts.values())
     verdict = "PASS" if len(values) == 1 else "FAIL"
     rows = [{"start": start, "hc": hc} for start, hc in sorted(counts.items())]
-    if args.json:
-        doc = {
-            "command": "invariant",
-            "params": {"file": args.file},
-            "rows": rows,
-            "verdict": verdict,
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print("start\thc")
-        for row in rows:
-            print(f"{row['start']}\t{row['hc']}")
-        print(verdict)
+    _emit(args, {"file": args.file}, ["start", "hc"], rows, verdict)
     if verdict == "FAIL":
         raise InvariantViolation("per-start Hamiltonian cycle counts disagree")
     return 0
@@ -249,8 +244,20 @@ def _cmd_partition(args) -> int:
     return 0
 
 
+# the scalar cursor takes about a second per 10^7 steps
+_BOCPS_STEP_CAP = 10_000_000
+
+
 def _cmd_bocps(args) -> int:
-    res = bocps(args.m1, args.m2, half_cap=args.half_cap)
+    m1, m2 = args.m1, args.m2
+    # non-positive inputs meet bocps's own refusal; a positive pair needs
+    # exactly (m1 + m2) / gcd(m1, m2) steps
+    steps = (m1 + m2) // math.gcd(m1, m2) if min(m1, m2) > 0 else 0
+    if steps > _BOCPS_STEP_CAP and not args.force:
+        raise SizeLimitError(
+            f"{steps} cursor steps exceed the {_BOCPS_STEP_CAP} cap; pass --force to insist"
+        )
+    res = bocps(args.m1, args.m2)
     row = {
         "k1": res.k1,
         "k2": res.k2,
@@ -262,7 +269,17 @@ def _cmd_bocps(args) -> int:
     return 0
 
 
+# the flags only the colouring trials read, with their defaults
+_TRIAL_DEFAULTS = {"algo": "bogpc", "trials": 1, "seed": 0}
+
+
 def _cmd_color(args) -> int:
+    given = [f"--{name}" for name in _TRIAL_DEFAULTS if getattr(args, name) is not None]
+    if args.exact and given:
+        raise _UsageError(f"--exact does not read {', '.join(given)}")
+    for name, default in _TRIAL_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     g = _load(args)
     if args.exact:
         layouts = enumerate_mcivs(g, force=args.force)
@@ -299,10 +316,14 @@ def _parse_arcs(text: str) -> sequences.ArcSequence:
 
 def _cmd_sequences(args) -> int:
     if args.kind == "minpower":
+        if args.arcs is not None:
+            raise _UsageError("minpower does not read --arcs")
         if len(args.numbers) != 2:
             raise _UsageError("minpower takes two integers: N m")
         print(sequences.minimal_power(args.numbers[0], args.numbers[1]))
         return 0
+    if args.numbers:
+        raise _UsageError(f"{args.kind} takes no numbers, only --arcs")
     if args.arcs is None:
         raise _UsageError(f"{args.kind} needs --arcs")
     seq = _parse_arcs(args.arcs)

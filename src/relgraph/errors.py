@@ -23,9 +23,5 @@ class SizeLimitError(DomainError):
     """An instance exceeds a size guard; CLI ``--force`` or library ``force=True`` lifts it."""
 
 
-class ConvergenceError(GraphError):
-    """An iteration cap was reached before the algorithm converged."""
-
-
 class InvariantViolation(GraphError):
     """An internal consistency check failed; indicates a bug, not bad input."""

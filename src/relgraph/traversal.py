@@ -1,24 +1,25 @@
 """Exhaustive equivalent-visiting search.
 
-Both engines enumerate every maximal path from a start vertex under the
+The search enumerates every maximal path from a start vertex under the
 equivalent-visiting discipline: each appearance of a vertex on the current
 path consumes one unit of weight from every arc entering it, so the path can
 be extended to a vertex only while some arc into it has weight left.
 Self-loops are stored but never traversed.
 
-Both engines read the relation's cached ``index_view``: vertex ids remapped
-to 0..n-1 in ascending order, with weighted out-rows and no self-loops.
-``bots_search`` realises the discipline literally, copying the weight table
-for every pending path and decrementing it arc by arc.  ``obots_search``
-reaches the same result by comparing stored weights against per-path
-occurrence counts, with no table copies.  Both push children in ascending id
-order onto a LIFO stack, so repeated runs are bit-identical and the two
-engines emit identical path sequences.
+``obots_search`` reads the relation's cached ``index_view`` (vertex ids
+remapped to 0..n-1 in ascending order, with weighted out-rows and no
+self-loops) and compares stored weights against per-path occurrence counts,
+with no table copies.  ``bots_search`` is its serial reference: it realises
+the discipline literally, copying the weight table for every pending path
+and decrementing it arc by arc.  Both push children in ascending id order
+onto a LIFO stack, so repeated runs are bit-identical and the two emit
+identical path sequences.
 
-One subtree search serves every mode: it collects or streams the paths and
-tallies Hamiltonian paths and cycles as leaves are reached.  A serial search
-runs it once from the start; with ``threads`` > 1 it runs in a process pool
-on each child of the start, and the parts merge in the serial order.
+One subtree search serves every mode of ``obots_search`` and
+``search_report``: it collects or streams the paths and tallies Hamiltonian
+paths and cycles as leaves are reached.  A serial search runs it once from
+the start; with ``threads`` > 1 it runs in a process pool on each child of
+the start, and the parts merge in the serial order.
 """
 
 from __future__ import annotations
@@ -131,20 +132,19 @@ def _obots_run(
     return loops, breadth
 
 
-def _bots_run(
-    adj: IndexedAdjacency,
-    prefix: tuple[int, ...],
-    emit: Callable[[tuple[int, ...]], None] | None,
-) -> tuple[int, int]:
-    """Literal table search: pop a path, rebuild the decremented table, scan."""
+def _bots_run(adj: IndexedAdjacency, root: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Literal table search: pop a path, rebuild the decremented table, scan.
+
+    Returns the loop count and the maximal index paths in emission order.
+    """
     arcs = {(t, h): w for t, row in enumerate(adj) for h, w in row}
     in_rows: list[list[int]] = [[] for _ in adj]
     for t, h in arcs:
         in_rows[h].append(t)
 
     loops = 0
-    breadth = 0
-    stack: list[tuple[int, ...]] = [prefix]
+    leaves: list[tuple[int, ...]] = []
+    stack: list[tuple[int, ...]] = [(root,)]
     while stack:
         path = stack.pop()
         loops += 1
@@ -157,19 +157,15 @@ def _bots_run(
         end = path[-1]
         extensions = [w for w, _ in adj[end] if table[(end, w)] > 0]
         if not extensions:
-            breadth += 1
-            if emit is not None:
-                emit(path)
+            leaves.append(path)
         else:
             stack.extend(path + (w,) for w in extensions)
-    return loops, breadth
+    return loops, leaves
 
 
-_ENGINES = {"obots": _obots_run, "bots": _bots_run}
-
-# one search job: engine, rows, prefix, whether paths are wanted, and the
-# indices with an arc into the start (None when Hamilton tallies are off)
-SubtreeJob = tuple[str, IndexedAdjacency, tuple[int, ...], bool, frozenset[int] | None]
+# one search job: rows, prefix, whether paths are wanted, and the indices
+# with an arc into the start (None when Hamilton tallies are off)
+SubtreeJob = tuple[IndexedAdjacency, tuple[int, ...], bool, frozenset[int] | None]
 
 
 def _subtree(
@@ -182,7 +178,7 @@ def _subtree(
     A Hamiltonian path visits every vertex once; it is also a cycle when its
     end has an arc back to the start.
     """
-    engine, adj, prefix, want_paths, closers = job
+    adj, prefix, want_paths, closers = job
     paths: list[tuple[int, ...]] = []
     if deliver is None:
         deliver = paths.append
@@ -199,14 +195,13 @@ def _subtree(
                 hc += 1
 
     on_leaf = emit if (want_paths or closers is not None) else None
-    loops, breadth = _ENGINES[engine](adj, prefix, on_leaf)
+    loops, breadth = _obots_run(adj, prefix, on_leaf)
     return loops, breadth, paths, hp, hc
 
 
 def _search(
     g: MultiTraversalRelation,
     start: VertexId,
-    engine: str,
     sink: PathSink | None,
     counts_only: bool,
     threads: int,
@@ -214,8 +209,6 @@ def _search(
 ) -> tuple[TraversalResult, HamiltonStats]:
     if start not in g.vertices:
         raise DomainError(f"start vertex {start} is not on the instance")
-    if engine not in _ENGINES:
-        raise DomainError(f"unknown engine {engine!r}")
     if threads < 1:
         raise DomainError(f"threads must be at least 1, got {threads}")
     ids, index, adj = g.index_view
@@ -239,13 +232,13 @@ def _search(
         # every stored out-arc of the start is an open child.  The serial LIFO
         # stack expands the highest child first, so the children are mapped
         # in descending order and merged in that order.
-        jobs = [(engine, adj, (root, w), want_paths, closers) for w, _ in reversed(adj[root])]
+        jobs = [(adj, (root, w), want_paths, closers) for w, _ in reversed(adj[root])]
         # under fork every worker starts up front, so never start more than jobs
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             parts = list(pool.map(_subtree, jobs))
         loops = 1  # the root itself
     else:
-        parts = [_subtree((engine, adj, (root,), want_paths, closers), deliver)]
+        parts = [_subtree((adj, (root,), want_paths, closers), deliver)]
         loops = 0
     breadth = hp = hc = 0
     for sub_loops, sub_breadth, paths, sub_hp, sub_hc in parts:
@@ -288,21 +281,22 @@ def obots_search(
     one per subtree at most, and delivers their paths after the merge, in
     the serial order.  ``threads`` < 1 raises :class:`DomainError`.
     """
-    result, _ = _search(g, start, "obots", sink, counts_only, threads, hamilton=False)
+    result, _ = _search(g, start, sink, counts_only, threads, hamilton=False)
     return result
 
 
-def bots_search(
-    g: MultiTraversalRelation,
-    start: VertexId,
-    *,
-    sink: PathSink | None = None,
-    counts_only: bool = False,
-    threads: int = 1,
-) -> TraversalResult:
-    """Table-copying exhaustive search; same contract as :func:`obots_search`."""
-    result, _ = _search(g, start, "bots", sink, counts_only, threads, hamilton=False)
-    return result
+def bots_search(g: MultiTraversalRelation, start: VertexId) -> TraversalResult:
+    """Table-copying exhaustive search, the serial reference for :func:`obots_search`.
+
+    Keeps every path; the result equals ``obots_search(g, start)`` in every
+    field.
+    """
+    if start not in g.vertices:
+        raise DomainError(f"start vertex {start} is not on the instance")
+    ids, index, adj = g.index_view
+    loops, leaves = _bots_run(adj, index[start])
+    paths = tuple(SearchPath(tuple(ids[i] for i in leaf)) for leaf in leaves)
+    return TraversalResult(paths, loops, len(paths), disconnected=not is_connected(g))
 
 
 def hamilton_stats(
@@ -331,11 +325,10 @@ def search_report(
     g: MultiTraversalRelation,
     start: VertexId,
     *,
-    engine: str = "obots",
     threads: int = 1,
 ) -> tuple[TraversalResult, HamiltonStats]:
     """Counts-only search plus streaming Hamilton tallies; safe for huge breadths."""
-    return _search(g, start, engine, None, True, threads, hamilton=True)
+    return _search(g, start, None, True, threads, hamilton=True)
 
 
 def traversal_invariant(g: MultiTraversalRelation) -> dict[VertexId, int]:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relgraph import (
-    ConvergenceError,
     DomainError,
     bocps,
     bocps_batch,
@@ -119,14 +118,7 @@ class TestBatch:
 
 
 class TestHalfCap:
-    def test_starves_on_skewed_coprime_input(self):
-        # the halved budget is 50 but (100, 3) needs 103 steps
-        with pytest.raises(ConvergenceError):
-            bocps(100, 3, half_cap=True)
-
-    def test_agrees_when_budget_suffices(self):
-        assert bocps(12, 4, half_cap=True) == bocps(12, 4)
-
-    def test_inapplicable_condition_keeps_full_budget(self):
-        # max/2 does not exceed min here, so the full budget stays in force
-        assert bocps(7, 5, half_cap=True) == bocps(7, 5)
+    def test_skewed_coprime_input_needs_full_budget(self):
+        # a budget of max(m1, m2) // 2 = 50 would starve (100, 3), which needs
+        # all m1 + m2 = 103 steps, so only the full budget is sound
+        assert bocps(100, 3).loops == 103

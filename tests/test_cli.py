@@ -146,6 +146,13 @@ class TestInvariant:
         assert lines[-1] == "PASS"
         assert all(line.endswith("\t2") for line in lines[1:-1])
 
+    def test_json_document_carries_verdict(self, capsys, c5_file):
+        code, out, _ = run(capsys, "invariant", c5_file, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["command"], doc["verdict"]) == ("invariant", "PASS")
+        assert doc["rows"] == [{"hc": 2, "start": s} for s in range(1, 6)]
+
     def test_directed_instance_refused(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
         cli.main(["gen", "path", "3", "-o", str(path)])
@@ -180,8 +187,26 @@ class TestBocpsCmd:
     def test_refusal(self, capsys):
         assert run(capsys, "bocps", "0", "6")[0] == 2
 
-    def test_half_cap_starvation(self, capsys):
-        assert run(capsys, "bocps", "100", "3", "--half-cap")[0] == 2
+    def test_step_cap_refuses(self, capsys):
+        # (1, 10^9) needs 10^9 + 1 cursor steps, minutes of scalar loop
+        code, out, err = run(capsys, "bocps", "1", "1000000000")
+        assert (code, out) == (2, "")
+        assert "1000000001 cursor steps" in err
+        assert "--force" in err
+
+    def test_large_gcd_runs_under_cap(self, capsys):
+        code, out, _ = run(capsys, "bocps", "1000000000", "2000000000")
+        assert code == 0
+        assert out.splitlines()[1].split("\t") == ["1", "2", "1000000000", "2000000000", "3"]
+
+    def test_force_lifts_step_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_BOCPS_STEP_CAP", 4)
+        code, out, err = run(capsys, "bocps", "4", "6")
+        assert (code, out) == (2, "")
+        assert "5 cursor steps" in err
+        code, out, _ = run(capsys, "bocps", "4", "6", "--force")
+        assert code == 0
+        assert out.splitlines()[1].split("\t") == ["2", "3", "2", "12", "5"]
 
 
 class TestColorCmd:
@@ -299,7 +324,7 @@ ACCEPTED = {
     "partition": {"--json", "--undirected"},
     "traverse": {"--json", "--threads", "--undirected", "--times"},
     "euler": {"--json", "--threads", "--force", "--times"},
-    "bocps": {"--json"},
+    "bocps": {"--json", "--force"},
     "color": {"--json", "--seed", "--undirected", "--force"},
     "sequences": set(),
 }
@@ -332,6 +357,16 @@ REFUSED = [
     pytest.param(["--json", "classify", "g.txt"], id="--json before classify"),
     pytest.param(["--force", "gen", "complete", "5"], id="--force before gen"),
     pytest.param(["--seed", "5", "--threads", "3", "bocps", "4", "6"], id="--seed --threads before bocps"),
+    # removed options and flags the chosen mode does not read
+    pytest.param(["traverse", "g.txt", "--start", "1", "--algo", "bots"], id="traverse --algo bots"),
+    pytest.param(["bocps", "100", "3", "--half-cap"], id="bocps --half-cap"),
+    pytest.param(["sequences", "trail", "3", "4", "--arcs", "1-2,2-3"], id="sequences trail numbers"),
+    pytest.param(["sequences", "minpower", "6", "2", "--arcs", "1-2"], id="sequences minpower --arcs"),
+    pytest.param(["color", "g.txt", "--exact", "--trials", "500"], id="color --exact --trials"),
+    pytest.param(["color", "g.txt", "--exact", "--algo", "boerc"], id="color --exact --algo"),
+    pytest.param(["color", "g.txt", "--exact", "--seed", "3"], id="color --exact --seed"),
+    pytest.param(["color", "g.txt", "--exact", "--trials", "500", "--algo", "boerc", "--seed", "3"],
+                 id="color --exact with every trial flag"),
 ]
 
 

@@ -56,12 +56,15 @@ class TestSearchCounts:
     def test_unknown_start(self):
         with pytest.raises(DomainError):
             obots_search(gen_cycle(4), 9)
+        with pytest.raises(DomainError):
+            bots_search(gen_cycle(4), 9)
 
     def test_disconnected_flag(self):
         g = MultiTraversalRelation.from_arcs([(1, 2), (2, 1), (3, 4), (4, 3)])
         res = obots_search(g, 1)
         assert res.disconnected
         assert [p.vertices for p in res.paths] == [(1, 2)]
+        assert bots_search(g, 1) == res
 
     def test_sink_and_counts_only(self):
         seen: list[tuple[int, ...]] = []
@@ -75,10 +78,8 @@ class TestEngineEquivalence:
         for _ in range(60):
             g = random_connected_multigraph(rnd, max_n=7, max_weight=2)
             start = min(g.vertices)
-            a = bots_search(g, start)
-            b = obots_search(g, start)
-            assert a.loop_count == b.loop_count
-            assert [p.vertices for p in a.paths] == [p.vertices for p in b.paths]
+            # every field: loops, breadth, the path sequence and the flags
+            assert bots_search(g, start) == obots_search(g, start)
 
     def test_occurrence_and_length_bounds(self, rnd):
         # per-vertex visits never exceed the largest weight entering the vertex,
@@ -124,7 +125,7 @@ class TestParallel:
 
     def test_parallel_bots_and_reports(self):
         g = gen_cycle(6)
-        a = bots_search(g, 2, threads=2)
+        a = obots_search(g, 2, threads=2)
         b = bots_search(g, 2)
         assert [p.vertices for p in a.paths] == [p.vertices for p in b.paths]
         rs, ss = search_report(g, 2)
@@ -188,8 +189,6 @@ class TestParallel:
         g = gen_complete(4)
         with pytest.raises(DomainError):
             obots_search(g, 1, threads=threads)
-        with pytest.raises(DomainError):
-            bots_search(g, 1, threads=threads)
         with pytest.raises(DomainError):
             search_report(g, 1, threads=threads)
 
