@@ -13,7 +13,7 @@ so that default output is byte-identical across runs given the same seed.
 A flag that the chosen mode does not read is a usage error too:
 ``color --exact`` reads no trial flag, ``sequences minpower`` no ``--arcs``,
 and the other ``sequences`` kinds no numbers.  ``--force`` lifts the size
-guards of ``gen``, ``euler``, ``bocps`` and ``color --exact``; ``--threads N``
+guards of ``gen``, ``euler``, ``bocps`` and ``color``; ``--threads N``
 starts at most N workers, and no more than the start has children.
 
 Exit codes: 0 success, 1 usage error, 2 domain or size refusal, 3 internal
@@ -184,7 +184,7 @@ def _cmd_classify(args) -> int:
     g = _load(args)
     label = core.classify(g).value
     if args.json:
-        print(json.dumps({"command": "classify", "params": {"file": args.file}, "class": label}))
+        _emit(args, {"file": args.file}, ["class"], [{"class": label}])
     else:
         print(label)
     return 0
@@ -271,6 +271,7 @@ def _cmd_bocps(args) -> int:
 
 # the flags only the colouring trials read, with their defaults
 _TRIAL_DEFAULTS = {"algo": "bogpc", "trials": 1, "seed": 0}
+_TRIAL_ARC_CAP = 1_000_000  # trials x arcs; 100,000 trials on C5 take about 5 s
 
 
 def _cmd_color(args) -> int:
@@ -292,6 +293,9 @@ def _cmd_color(args) -> int:
         return 0
     if args.trials < 1:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials * len(g.arcs) > _TRIAL_ARC_CAP and not args.force:
+        raise SizeLimitError(f"{args.trials} trials on {len(g.arcs)} arcs exceed the "
+                             f"{_TRIAL_ARC_CAP} trial-arc cap; pass --force to insist")
     algo = bogpc if args.algo == "bogpc" else boerc
     counts = collections.Counter(algo(g, args.seed + trial).k for trial in range(args.trials))
     rows = [

@@ -3,11 +3,11 @@
 A graph instance is a multiset of ordered vertex pairs (arcs), each carrying a
 positive integer multiplicity.  The relation caches every view derived from
 the arcs, each built once: ``out_adjacency`` groups the arcs by tail (the
-weighted unit subgraphs) and ``in_adjacency`` by head (the multiple visiting
-sets), both partitions of the arc multiset; the search engines read
-``index_view`` (weighted out-rows over vertex indices), partition reads
-``out_adjacency``, and connectivity and colouring read ``neighbours`` (the
-symmetric, loop-free adjacency).
+weighted unit subgraphs, a partition of the arc multiset) and is what
+partition reads; the search engines read ``index_view`` (weighted out-rows
+over vertex indices); connectivity and colouring read ``neighbours`` (the
+symmetric, loop-free adjacency).  The arcs into a vertex (the paper's
+multiple visiting sets) are read straight from ``arcs`` where needed.
 
 Vertex ids are positive integers.  Isolated vertices cannot be represented:
 the vertex set of an instance is exactly the set of arc endpoints.
@@ -89,14 +89,6 @@ class MultiTraversalRelation:
         for (tail, head), weight in self.arcs.items():
             out[tail][head] = weight
         return dict(out)
-
-    @cached_property
-    def in_adjacency(self) -> dict[VertexId, dict[VertexId, int]]:
-        """Head -> {tail: weight}, self-loops included: the multiple visiting sets."""
-        into: dict[VertexId, dict[VertexId, int]] = defaultdict(dict)
-        for (tail, head), weight in self.arcs.items():
-            into[head][tail] = weight
-        return dict(into)
 
     @cached_property
     def index_view(self) -> tuple[list[VertexId], dict[VertexId, int], IndexedAdjacency]:

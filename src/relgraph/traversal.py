@@ -16,10 +16,10 @@ onto a LIFO stack, so repeated runs are bit-identical and the two emit
 identical path sequences.
 
 One subtree search serves every mode of ``obots_search`` and
-``search_report``: it collects or streams the paths and tallies Hamiltonian
-paths and cycles as leaves are reached.  A serial search runs it once from
-the start; with ``threads`` > 1 it runs in a process pool on each child of
-the start, and the parts merge in the serial order.
+``search_report``: at each leaf it maps the path to vertex ids, keeps or
+streams it, and tallies Hamiltonian paths and cycles.  A serial search runs
+it once from the start; with ``threads`` > 1 it runs in a process pool on
+each child of the start, and the parts merge in the serial order.
 """
 
 from __future__ import annotations
@@ -56,14 +56,13 @@ class TraversalResult:
     """Outcome of one exhaustive search.
 
     ``loop_count`` is the number of partial paths popped and expanded, the
-    root included; ``breadth`` is the number of maximal paths.  With
-    ``counts_only`` the paths tuple is left empty.
+    root included; ``breadth`` is the number of maximal paths.  ``paths``
+    holds all of them, or none after a counts-only search.
     """
 
     paths: tuple[SearchPath, ...]
     loop_count: int
     breadth: int
-    counts_only: bool = False
     disconnected: bool = False
 
 
@@ -163,23 +162,23 @@ def _bots_run(adj: IndexedAdjacency, root: int) -> tuple[int, list[tuple[int, ..
     return loops, leaves
 
 
-# one search job: rows, prefix, whether paths are wanted, and the indices
-# with an arc into the start (None when Hamilton tallies are off)
-SubtreeJob = tuple[IndexedAdjacency, tuple[int, ...], bool, frozenset[int] | None]
+# one search job: rows, sorted ids, prefix, whether paths are wanted, and the
+# indices with an arc into the start (None when Hamilton tallies are off)
+SubtreeJob = tuple[IndexedAdjacency, list[VertexId], tuple[int, ...], bool, frozenset[int] | None]
 
 
 def _subtree(
-    job: SubtreeJob, deliver: Callable[[tuple[int, ...]], None] | None = None
-) -> tuple[int, int, list[tuple[int, ...]], int, int]:
+    job: SubtreeJob, deliver: PathSink | None = None
+) -> tuple[int, int, list[tuple[VertexId, ...]], int, int]:
     """Search one subtree; return (loops, breadth, paths, HP, HC).
 
-    Wanted paths go to ``deliver`` as index tuples while the search runs.
-    Without ``deliver``, as in a pool worker, they are returned instead.
-    A Hamiltonian path visits every vertex once; it is also a cycle when its
-    end has an arc back to the start.
+    Each wanted path goes to ``deliver`` as a vertex tuple, mapped where it is
+    found.  Without ``deliver``, as in a pool worker, the tuples are returned
+    instead.  A Hamiltonian path visits every vertex once; it is also a cycle
+    when its end has an arc back to the start.
     """
-    adj, prefix, want_paths, closers = job
-    paths: list[tuple[int, ...]] = []
+    adj, ids, prefix, want_paths, closers = job
+    paths: list[tuple[VertexId, ...]] = []
     if deliver is None:
         deliver = paths.append
     span = len(adj)
@@ -188,7 +187,7 @@ def _subtree(
     def emit(path) -> None:
         nonlocal hp, hc
         if want_paths:
-            deliver(tuple(path))
+            deliver(tuple(map(ids.__getitem__, path)))
         if closers is not None and len(path) == span and len(set(path)) == span:
             hp += 1
             if path[-1] in closers:
@@ -216,11 +215,10 @@ def _search(
     closers = None
     if hamilton:
         # closure is judged on the full stored relation, weights untouched
-        closers = frozenset(index[t] for t in g.in_adjacency.get(start, ()) if t != start)
+        closers = frozenset(index[t] for t, h in g.arcs if h == start != t)
     collected: list[SearchPath] = []
 
-    def deliver(path: tuple[int, ...]) -> None:
-        vertices = tuple(ids[i] for i in path)
+    def deliver(vertices: tuple[VertexId, ...]) -> None:
         if not counts_only:
             collected.append(SearchPath(vertices))
         if sink is not None:
@@ -232,13 +230,13 @@ def _search(
         # every stored out-arc of the start is an open child.  The serial LIFO
         # stack expands the highest child first, so the children are mapped
         # in descending order and merged in that order.
-        jobs = [(adj, (root, w), want_paths, closers) for w, _ in reversed(adj[root])]
+        jobs = [(adj, ids, (root, w), want_paths, closers) for w, _ in reversed(adj[root])]
         # under fork every worker starts up front, so never start more than jobs
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             parts = list(pool.map(_subtree, jobs))
         loops = 1  # the root itself
     else:
-        parts = [_subtree((adj, (root,), want_paths, closers), deliver)]
+        parts = [_subtree((adj, ids, (root,), want_paths, closers), deliver)]
         loops = 0
     breadth = hp = hc = 0
     for sub_loops, sub_breadth, paths, sub_hp, sub_hc in parts:
@@ -253,7 +251,6 @@ def _search(
         paths=tuple(collected),
         loop_count=loops,
         breadth=breadth,
-        counts_only=counts_only,
         disconnected=not is_connected(g),
     )
     return result, HamiltonStats(hamiltonian_paths=hp, hamiltonian_cycles=hc)
@@ -295,7 +292,7 @@ def bots_search(g: MultiTraversalRelation, start: VertexId) -> TraversalResult:
         raise DomainError(f"start vertex {start} is not on the instance")
     ids, index, adj = g.index_view
     loops, leaves = _bots_run(adj, index[start])
-    paths = tuple(SearchPath(tuple(ids[i] for i in leaf)) for leaf in leaves)
+    paths = tuple(SearchPath(tuple(map(ids.__getitem__, leaf))) for leaf in leaves)
     return TraversalResult(paths, loops, len(paths), disconnected=not is_connected(g))
 
 
@@ -306,10 +303,11 @@ def hamilton_stats(
 
     Every maximal path visiting each vertex exactly once counts as a
     Hamiltonian path; those whose final vertex has an arc back to the start
-    additionally count as Hamiltonian cycles.
+    additionally count as Hamiltonian cycles.  A result missing any of its
+    ``breadth`` paths, as a counts-only one does, raises :class:`DomainError`.
     """
-    if result.counts_only:
-        raise DomainError("hamilton_stats needs retained paths; use search_report instead")
+    if len(result.paths) != result.breadth:
+        raise DomainError("hamilton_stats needs every path retained; use search_report instead")
     n = g.n
     hp = hc = 0
     for path in result.paths:

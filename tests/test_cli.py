@@ -257,6 +257,23 @@ class TestColorCmd:
         params = json.loads(out)["params"]
         assert (params["bound"], params["chromatic"]) == (13, 13)
 
+    def test_trials_arc_cap_refuses_before_running(self, capsys, c5_file):
+        # C5 has 10 arcs, so 100,001 trials pass the 1,000,000 cap by 10
+        code, out, err = run(capsys, "color", c5_file, "--trials", "100001")
+        assert (code, out) == (2, "")
+        assert "100001 trials on 10 arcs" in err
+        assert "--force" in err
+
+    def test_force_lifts_trials_arc_cap(self, capsys, c5_file, monkeypatch):
+        monkeypatch.setattr(cli, "_TRIAL_ARC_CAP", 49)
+        code, out, err = run(capsys, "color", c5_file, "--trials", "5")
+        assert (code, out) == (2, "")
+        assert "--force" in err
+        code, out, _ = run(capsys, "color", c5_file, "--trials", "5", "--force")
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert sum(int(count) for _, count, _ in rows) == 5
+
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trials_below_one_is_refusal(self, capsys, c5_file, trials):
         code, out, err = run(capsys, "color", c5_file, "--trials", trials)
@@ -307,6 +324,14 @@ class TestClassifyCmd:
         assert code == 2
         assert out == ""
         assert err == "error: line 2: not UTF-8 text\n"
+
+    def test_json_document(self, capsys, c5_file):
+        code, out, _ = run(capsys, "classify", c5_file, "--json")
+        assert code == 0
+        assert out == json.dumps(
+            {"command": "classify", "params": {"file": c5_file}, "rows": [{"class": "Simple"}]},
+            sort_keys=True,
+        ) + "\n"
 
     def test_utf8_bom_file_classifies(self, capsys, tmp_path):
         plain = tmp_path / "plain.txt"

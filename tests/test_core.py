@@ -111,18 +111,6 @@ class TestPartitions:
     def test_terminal_vertex_owns_no_subgraph(self):
         assert gen_path(3).out_adjacency == {1: {2: 1}, 2: {3: 1}}
 
-    def test_visiting_sets_complete(self):
-        into = gen_complete(3).in_adjacency
-        assert sorted(into) == [1, 2, 3]
-        assert all(len(sources) == 2 for sources in into.values())
-
-    def test_visiting_sets_regrouping(self):
-        g = MultiTraversalRelation.from_arcs([(1, 2, 2), (3, 2, 1)])
-        assert g.in_adjacency == {2: {1: 2, 3: 1}}
-
-    def test_visiting_sets_path(self):
-        assert gen_path(3).in_adjacency == {2: {1: 1}, 3: {2: 1}}
-
     @given(arc_entries)
     @settings(max_examples=80)
     def test_partition_laws(self, entries):
@@ -134,17 +122,10 @@ class TestPartitions:
         assert all(out.values())
         assert sum(len(leaves) for leaves in out.values()) == len(g.arcs)
 
-        into = g.in_adjacency
-        rebuilt = {(src, head): w for head, sources in into.items() for src, w in sources.items()}
-        assert rebuilt == dict(g.arcs)
-        assert all(into.values())
-        assert sum(len(sources) for sources in into.values()) == len(g.arcs)
-
     def test_weight_one_degeneration(self):
         # an unweighted relation round-trips with every multiplicity equal to 1
         g = gen_cycle(5)
         assert all(w == 1 for leaves in g.out_adjacency.values() for w in leaves.values())
-        assert all(w == 1 for sources in g.in_adjacency.values() for w in sources.values())
 
 
 class TestClassify:

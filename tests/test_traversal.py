@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import dataclasses
 import math
 import random
 
@@ -19,6 +20,7 @@ from relgraph import (
     gen_path,
     hamilton_stats,
     obots_search,
+    relabel,
     search_report,
     traversal_invariant,
 )
@@ -150,6 +152,17 @@ class TestParallel:
         assert seen == [p.vertices for p in res.paths]
         assert seen == [p.vertices for p in obots_search(g, 3).paths]
 
+    def test_parallel_matches_serial_on_sparse_ids(self):
+        # workers map their paths to ids themselves, so ids far from 0..n-1 must survive
+        g = relabel(gen_dodecahedron(), {v: 10 * v for v in range(1, 21)})
+        serial: list[tuple[int, ...]] = []
+        par: list[tuple[int, ...]] = []
+        a = obots_search(g, 30, sink=serial.append)
+        b = obots_search(g, 30, sink=par.append, threads=2)
+        assert a == b
+        assert par == serial == [p.vertices for p in a.paths]
+        assert all(v % 10 == 0 for path in serial for v in path)
+
     def test_childless_start(self):
         g = gen_path(3)
         seen: list[tuple[int, ...]] = []
@@ -225,6 +238,17 @@ class TestHamilton:
         res = obots_search(g, 1, counts_only=True)
         with pytest.raises(DomainError):
             hamilton_stats(res, g, 1)
+        # a result missing any of its breadth paths is refused the same way
+        res = obots_search(g, 1)
+        with pytest.raises(DomainError):
+            hamilton_stats(dataclasses.replace(res, paths=res.paths[:-1]), g, 1)
+
+    def test_self_loop_does_not_close(self):
+        # a lone vertex is a Hamiltonian path, but its self-loop is no closing arc
+        g = MultiTraversalRelation.from_arcs([(1, 1)])
+        res, stats = search_report(g, 1)
+        assert (res.breadth, stats.hamiltonian_paths, stats.hamiltonian_cycles) == (1, 1, 0)
+        assert hamilton_stats(obots_search(g, 1), g, 1) == stats
 
     def test_stats_agree_with_collected(self):
         g = gen_cycle(5)
