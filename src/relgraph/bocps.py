@@ -86,6 +86,16 @@ def minimal_ratio(m1: int, m2: int) -> tuple[int, int]:
 # per phase; on the 1..1000 grid an eighth ran faster than compacting at
 # every finish or at a half.
 _COMPACT_SHARE = 8
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int64_lanes(m) -> np.ndarray:
+    """``m`` as an int64 array, refusing input that the cast would truncate or wrap."""
+    m = np.asarray(m)
+    fits = m.dtype.kind == "i" or (m.dtype.kind == "u" and not (m > _INT64_MAX).any())
+    if not fits:
+        raise DomainError(f"bocps_batch needs integers within int64, got {m.dtype}; use the scalar bocps")
+    return m.astype(np.int64, copy=False)
 
 
 def bocps_batch(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,10 +122,12 @@ def bocps_batch(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     finished.  Every lane needs exactly min(m1, m2) / gcd phases, so a lane
     still open after max(min(m1, m2)) phases is an
     :class:`InvariantViolation`.  The input arrays are not modified.  Returns
-    (k1, k2, loops) arrays shaped like the inputs.
+    (k1, k2, loops) arrays shaped like the inputs.  Input that is not of an
+    integer dtype, or whose values or lane sums m1 + m2 leave int64, raises
+    :class:`DomainError`; the scalar :func:`bocps` has no such limit.
     """
-    m1 = np.asarray(m1, dtype=np.int64)
-    m2 = np.asarray(m2, dtype=np.int64)
+    m1 = _int64_lanes(m1)
+    m2 = _int64_lanes(m2)
     if m1.shape != m2.shape:
         raise DomainError("input arrays must have matching shapes")
     if m1.size and (m1.min() < 1 or m2.min() < 1):
@@ -124,8 +136,10 @@ def bocps_batch(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     k2 = np.zeros(m1.size, dtype=np.int64)
     a1 = m1.ravel()
     a2 = m2.ravel()
-    small = int(a1.max(initial=0)) + int(a2.max(initial=0)) < 2**31
-    dtype = np.int32 if small else np.int64
+    top = int(a1.max(initial=0)) + int(a2.max(initial=0))
+    if top > _INT64_MAX and (a1 > _INT64_MAX - a2).any():
+        raise DomainError("m1 + m2 reaches 2**63 in some lane; use the scalar bocps")
+    dtype = np.int32 if top < 2**31 else np.int64
     up = a2 > a1
     step = np.where(up, a2, -a1).astype(dtype)
     mod = np.where(up, a1, a2).astype(dtype)

@@ -198,8 +198,9 @@ def enumerate_mcivs(g: MultiTraversalRelation, *, force: bool = False) -> tuple[
     remainder: set[VertexId] = set()
 
     def snapshot() -> IntervalPartition:
-        canon = sorted((frozenset(c) for c in classes), key=min)
-        return IntervalPartition(classes=tuple(canon), remainder=frozenset(remainder))
+        # only the vertex being placed opens a class, and vertices are placed in
+        # ascending order, so the classes are already ordered by their minima
+        return IntervalPartition(classes=tuple(frozenset(c) for c in classes), remainder=frozenset(remainder))
 
     def extend(i: int) -> None:
         if i == len(verts):

@@ -16,10 +16,10 @@ onto a LIFO stack, so repeated runs are bit-identical and the two emit
 identical path sequences.
 
 One subtree search serves every mode of ``obots_search`` and
-``search_report``: at each leaf it maps the path to vertex ids, keeps or
-streams it, and tallies Hamiltonian paths and cycles.  A serial search runs
-it once from the start; with ``threads`` > 1 it runs in a process pool on
-each child of the start, and the parts merge in the serial order.
+``search_report``: at each leaf it maps the path to vertex ids, keeps it,
+and tallies Hamiltonian paths and cycles.  A serial search runs it once from
+the start; with ``threads`` > 1 it runs in a process pool on each child of
+the start.  Either way the parts merge in the serial order.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .core import (
     is_connected,
 )
 from .errors import DomainError
-
-PathSink = Callable[[tuple[VertexId, ...]], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,27 +165,23 @@ def _bots_run(adj: IndexedAdjacency, root: int) -> tuple[int, list[tuple[int, ..
 SubtreeJob = tuple[IndexedAdjacency, list[VertexId], tuple[int, ...], bool, frozenset[int] | None]
 
 
-def _subtree(
-    job: SubtreeJob, deliver: PathSink | None = None
-) -> tuple[int, int, list[tuple[VertexId, ...]], int, int]:
+def _subtree(job: SubtreeJob) -> tuple[int, int, list[tuple[VertexId, ...]], int, int]:
     """Search one subtree; return (loops, breadth, paths, HP, HC).
 
-    Each wanted path goes to ``deliver`` as a vertex tuple, mapped where it is
-    found.  Without ``deliver``, as in a pool worker, the tuples are returned
-    instead.  A Hamiltonian path visits every vertex once; it is also a cycle
-    when its end has an arc back to the start.
+    Each wanted path is kept as a vertex tuple, mapped where it is found.  A
+    Hamiltonian path visits every vertex once; it is also a cycle when its
+    end has an arc back to the start.
     """
     adj, ids, prefix, want_paths, closers = job
     paths: list[tuple[VertexId, ...]] = []
-    if deliver is None:
-        deliver = paths.append
+    keep = paths.append
     span = len(adj)
     hp = hc = 0
 
     def emit(path) -> None:
         nonlocal hp, hc
         if want_paths:
-            deliver(tuple(map(ids.__getitem__, path)))
+            keep(tuple(map(ids.__getitem__, path)))
         if closers is not None and len(path) == span and len(set(path)) == span:
             hp += 1
             if path[-1] in closers:
@@ -201,7 +195,6 @@ def _subtree(
 def _search(
     g: MultiTraversalRelation,
     start: VertexId,
-    sink: PathSink | None,
     counts_only: bool,
     threads: int,
     hamilton: bool,
@@ -216,15 +209,7 @@ def _search(
     if hamilton:
         # closure is judged on the full stored relation, weights untouched
         closers = frozenset(index[t] for t, h in g.arcs if h == start != t)
-    collected: list[SearchPath] = []
-
-    def deliver(vertices: tuple[VertexId, ...]) -> None:
-        if not counts_only:
-            collected.append(SearchPath(vertices))
-        if sink is not None:
-            sink(vertices)
-
-    want_paths = sink is not None or not counts_only
+    want_paths = not counts_only
     if threads > 1 and adj[root]:
         # the root is on the path once and self-loops are absent from adj, so
         # every stored out-arc of the start is an open child.  The serial LIFO
@@ -236,16 +221,16 @@ def _search(
             parts = list(pool.map(_subtree, jobs))
         loops = 1  # the root itself
     else:
-        parts = [_subtree((adj, ids, (root,), want_paths, closers), deliver)]
+        parts = [_subtree((adj, ids, (root,), want_paths, closers))]
         loops = 0
+    collected: list[SearchPath] = []
     breadth = hp = hc = 0
     for sub_loops, sub_breadth, paths, sub_hp, sub_hc in parts:
         loops += sub_loops
         breadth += sub_breadth
         hp += sub_hp
         hc += sub_hc
-        for path in paths:
-            deliver(path)
+        collected.extend(map(SearchPath, paths))
 
     result = TraversalResult(
         paths=tuple(collected),
@@ -265,20 +250,18 @@ def obots_search(
     g: MultiTraversalRelation,
     start: VertexId,
     *,
-    sink: PathSink | None = None,
     counts_only: bool = False,
     threads: int = 1,
 ) -> TraversalResult:
     """Occurrence-counting exhaustive search from ``start``.
 
-    ``sink`` receives each maximal path as a vertex tuple; with
-    ``counts_only`` the result keeps loop and breadth counters but no paths.
-    A serial search feeds the sink as paths are found.  ``threads`` > 1
-    searches the root's subtrees in at most ``threads`` parallel processes,
-    one per subtree at most, and delivers their paths after the merge, in
+    The result keeps every maximal path, in the serial order; with
+    ``counts_only`` it keeps loop and breadth counters but no paths.
+    ``threads`` > 1 searches the root's subtrees in at most ``threads``
+    parallel processes, one per subtree at most, and merges their paths in
     the serial order.  ``threads`` < 1 raises :class:`DomainError`.
     """
-    result, _ = _search(g, start, sink, counts_only, threads, hamilton=False)
+    result, _ = _search(g, start, counts_only, threads, hamilton=False)
     return result
 
 
@@ -326,7 +309,7 @@ def search_report(
     threads: int = 1,
 ) -> tuple[TraversalResult, HamiltonStats]:
     """Counts-only search plus streaming Hamilton tallies; safe for huge breadths."""
-    return _search(g, start, None, True, threads, hamilton=True)
+    return _search(g, start, True, threads, hamilton=True)
 
 
 def traversal_invariant(g: MultiTraversalRelation) -> dict[VertexId, int]:

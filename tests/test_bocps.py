@@ -116,6 +116,32 @@ class TestBatch:
         with pytest.raises(DomainError):
             bocps_batch(np.array([0]), np.array([1]))
 
+    def test_rejects_lane_sum_beyond_int64(self):
+        # x + step reaches m1 + m2 - 1, which would wrap; the scalar loop is exact
+        assert bocps(2**62, 3 * 2**61) == bocps(2, 3)
+        with pytest.raises(DomainError, match="scalar bocps"):
+            bocps_batch([2**62], [3 * 2**61])
+        with pytest.raises(DomainError, match="scalar bocps"):
+            bocps_batch([1, 2**62], [1, 2**63 - 2**62])
+        # the maxima sum past int64, but no single lane does
+        k1, k2, _ = bocps_batch([2**62, 1], [1, 2**62])
+        assert (k1.tolist(), k2.tolist()) == ([2**62, 1], [1, 2**62])
+
+    def test_rejects_ints_beyond_int64(self):
+        with pytest.raises(DomainError, match="scalar bocps"):
+            bocps_batch([2**64], [3])
+        with pytest.raises(DomainError, match="scalar bocps"):
+            bocps_batch(np.array([2**63], dtype=np.uint64), [3])
+        k1, k2, _ = bocps_batch(np.array([4], dtype=np.uint64), [6])
+        assert (k1.tolist(), k2.tolist()) == ([2], [3])
+
+    def test_rejects_fractional_input(self):
+        # an int64 cast would quietly answer (2, 3) and (4, 6)
+        with pytest.raises(DomainError):
+            bocps_batch([2.5, 4.0], [3, 6])
+        with pytest.raises(DomainError):
+            bocps_batch([2, 4], np.array([3.0, 6.0]))
+
 
 class TestHalfCap:
     def test_skewed_coprime_input_needs_full_budget(self):

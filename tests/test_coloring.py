@@ -166,6 +166,9 @@ class TestExact:
         layouts = enumerate_mcivs(gen_cycle(6))
         canon = {(p.classes, p.remainder) for p in layouts}
         assert len(canon) == len(layouts)
+        for p in layouts:
+            minima = [min(c) for c in p.classes]
+            assert all(a < b for a, b in zip(minima, minima[1:]))
 
     def test_size_refusals(self):
         with pytest.raises(SizeLimitError, match="n <= 12, instance has 13; pass --force"):

@@ -69,10 +69,9 @@ class TestSearchCounts:
         assert bots_search(g, 1) == res
 
     def test_sink_and_counts_only(self):
-        seen: list[tuple[int, ...]] = []
-        res = obots_search(gen_complete(4), 1, sink=seen.append, counts_only=True)
+        res = obots_search(gen_complete(4), 1, counts_only=True)
         assert res.paths == ()
-        assert len(seen) == res.breadth == 6
+        assert res.breadth == 6
 
 
 class TestEngineEquivalence:
@@ -137,38 +136,30 @@ class TestParallel:
 
     def test_parallel_sink_under_counts_only(self):
         g = gen_complete(5)
-        serial: list[tuple[int, ...]] = []
-        par: list[tuple[int, ...]] = []
-        obots_search(g, 1, sink=serial.append, counts_only=True)
-        res = obots_search(g, 1, sink=par.append, counts_only=True, threads=2)
+        serial = obots_search(g, 1, counts_only=True)
+        res = obots_search(g, 1, counts_only=True, threads=2)
         assert res.paths == ()
-        assert len(par) == res.breadth == 24
-        assert par == serial
+        assert res.breadth == 24
+        assert res.loop_count == serial.loop_count
 
     def test_parallel_sink_order_with_paths(self):
         g = gen_dodecahedron()
-        seen: list[tuple[int, ...]] = []
-        res = obots_search(g, 3, sink=seen.append, threads=2)
-        assert seen == [p.vertices for p in res.paths]
-        assert seen == [p.vertices for p in obots_search(g, 3).paths]
+        res = obots_search(g, 3, threads=2)
+        assert [p.vertices for p in res.paths] == [p.vertices for p in obots_search(g, 3).paths]
 
     def test_parallel_matches_serial_on_sparse_ids(self):
         # workers map their paths to ids themselves, so ids far from 0..n-1 must survive
         g = relabel(gen_dodecahedron(), {v: 10 * v for v in range(1, 21)})
-        serial: list[tuple[int, ...]] = []
-        par: list[tuple[int, ...]] = []
-        a = obots_search(g, 30, sink=serial.append)
-        b = obots_search(g, 30, sink=par.append, threads=2)
+        a = obots_search(g, 30)
+        b = obots_search(g, 30, threads=2)
         assert a == b
-        assert par == serial == [p.vertices for p in a.paths]
-        assert all(v % 10 == 0 for path in serial for v in path)
+        assert all(v % 10 == 0 for p in a.paths for v in p.vertices)
 
     def test_childless_start(self):
         g = gen_path(3)
-        seen: list[tuple[int, ...]] = []
-        res = obots_search(g, 3, sink=seen.append, threads=2)
+        res = obots_search(g, 3, threads=2)
         assert (res.loop_count, res.breadth) == (1, 1)
-        assert seen == [p.vertices for p in res.paths] == [(3,)]
+        assert [p.vertices for p in res.paths] == [(3,)]
 
     def test_pool_never_larger_than_its_jobs(self, monkeypatch):
         # under fork every worker starts up front, so the pool is sized to the
