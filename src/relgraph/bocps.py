@@ -87,6 +87,8 @@ def minimal_ratio(m1: int, m2: int) -> tuple[int, int]:
 # every finish or at a half.
 _COMPACT_SHARE = 8
 _INT64_MAX = np.iinfo(np.int64).max
+# a phase costs about 10 us even on one lane, so the cap is about ten seconds
+_PHASE_CAP = 10**6
 
 
 def _int64_lanes(m) -> np.ndarray:
@@ -119,11 +121,13 @@ def bocps_batch(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
     A lane is written out at its first return to 1 and masked off; the lane
     arrays are compacted once at least an eighth of the lanes present have
-    finished.  Every lane needs exactly min(m1, m2) / gcd phases, so a lane
-    still open after max(min(m1, m2)) phases is an
+    finished.  Every lane needs exactly min(m1, m2) / gcd phases.  The loop
+    runs max(min(m1, m2)) phases, or the exact maximum when that passes
+    ``_PHASE_CAP``; a lane still open after them is an
     :class:`InvariantViolation`.  The input arrays are not modified.  Returns
     (k1, k2, loops) arrays shaped like the inputs.  Input that is not of an
-    integer dtype, or whose values or lane sums m1 + m2 leave int64, raises
+    integer dtype, whose values or lane sums m1 + m2 leave int64, or where
+    some lane needs more than ``_PHASE_CAP`` phases raises
     :class:`DomainError`; the scalar :func:`bocps` has no such limit.
     """
     m1 = _int64_lanes(m1)
@@ -139,6 +143,11 @@ def bocps_batch(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     top = int(a1.max(initial=0)) + int(a2.max(initial=0))
     if top > _INT64_MAX and (a1 > _INT64_MAX - a2).any():
         raise DomainError("m1 + m2 reaches 2**63 in some lane; use the scalar bocps")
+    phases = int(np.minimum(a1, a2).max(initial=0))
+    if phases > _PHASE_CAP:
+        phases = int((np.minimum(a1, a2) // np.gcd(a1, a2)).max())
+        if phases > _PHASE_CAP:
+            raise DomainError(f"some lane needs {phases} phases, above the cap of {_PHASE_CAP}")
     dtype = np.int32 if top < 2**31 else np.int64
     up = a2 > a1
     step = np.where(up, a2, -a1).astype(dtype)
@@ -148,7 +157,7 @@ def bocps_batch(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     lane = np.arange(m1.size)
     open_ = np.ones(m1.size, dtype=bool)
     n_open = m1.size
-    for phase in range(1, int(np.minimum(a1, a2).max(initial=0)) + 1):
+    for phase in range(1, phases + 1):
         if not n_open:
             break
         quot, x = np.divmod(x + step, mod)

@@ -156,6 +156,8 @@ def chains_of(s: ArcSequence) -> tuple[ArcSequence, ...]:
 
 def path_to_sequence(vertices: tuple[int, ...], close: bool = False) -> ArcSequence:
     """Arc sequence of a vertex walk, optionally closed back to its start."""
+    if close and not vertices:
+        raise DomainError("an empty walk has no start to close back to")
     arcs = [Arc(u, v) for u, v in zip(vertices, vertices[1:])]
     if close:
         arcs.append(Arc(vertices[-1], vertices[0]))

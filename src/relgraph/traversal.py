@@ -12,21 +12,21 @@ self-loops) and compares stored weights against per-path occurrence counts,
 with no table copies.  ``bots_search`` is its serial reference: it realises
 the discipline literally, copying the weight table for every pending path
 and decrementing it arc by arc.  Both push children in ascending id order
-onto a LIFO stack, so repeated runs are bit-identical and the two emit
+onto a LIFO stack, so repeated runs are bit-identical and the two give
 identical path sequences.
 
-One subtree search serves every mode of ``obots_search`` and
-``search_report``: at each leaf it maps the path to vertex ids, keeps it,
-and tallies Hamiltonian paths and cycles.  A serial search runs it once from
-the start; with ``threads`` > 1 it runs in a process pool on each child of
-the start.  Either way the parts merge in the serial order.
+One engine loop, ``_obots_run``, serves every mode of ``obots_search`` and
+``search_report``.  At each leaf it counts the path, keeps it as vertex ids
+when paths are wanted, and tallies Hamiltonian paths and cycles; every
+search tallies, and ``obots_search`` drops the tally.  A serial search runs
+the loop once from the start; with ``threads`` > 1 it runs in a process pool
+on each child of the start.  Either way the parts merge in the serial order.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import (
     GraphClass,
@@ -41,7 +41,7 @@ from .errors import DomainError
 
 @dataclass(frozen=True, slots=True)
 class SearchPath:
-    """A maximal path emitted by the search."""
+    """A maximal path found by the search."""
 
     vertices: tuple[VertexId, ...]
 
@@ -87,23 +87,28 @@ class HamiltonStats:
 # ---------------------------------------------------------------------------
 
 
-def _obots_run(
-    adj: IndexedAdjacency,
-    prefix: tuple[int, ...],
-    emit: Callable[[list[int]], None] | None,
-) -> tuple[int, int]:
-    """Depth-first expansion from ``prefix``; ``~v`` frames undo path state.
+# one search job: rows, sorted ids, prefix, whether paths are wanted, and the
+# indices with an arc into the start
+SearchJob = tuple[IndexedAdjacency, list[VertexId], tuple[int, ...], bool, frozenset[int]]
 
-    ``emit`` receives the live index path of each maximal path; callers copy
-    if they keep it.  Returns (loops, breadth) for the explored subtree,
-    counting one loop for the prefix itself.
+
+def _obots_run(job: SearchJob) -> tuple[int, int, list[tuple[VertexId, ...]], int, int]:
+    """Depth-first expansion from the job's prefix; ``~v`` frames undo path state.
+
+    Returns (loops, breadth, paths, HP, HC) for the explored subtree, counting
+    one loop for the prefix itself.  Each wanted path is kept as a vertex
+    tuple, mapped where it is found.  A Hamiltonian path visits every vertex
+    once; it is also a cycle when its end has an arc back to the start.
     """
-    occ = [0] * len(adj)
+    adj, ids, prefix, want_paths, closers = job
+    span = len(adj)
+    occ = [0] * span
     path = list(prefix[:-1])
     for v in path:
         occ[v] += 1
-    loops = 0
-    breadth = 0
+    loops = breadth = hp = hc = 0
+    paths: list[tuple[VertexId, ...]] = []
+    keep = paths.append
     stack = [prefix[-1]]
     push = stack.append
     pop = stack.pop
@@ -124,9 +129,13 @@ def _obots_run(
                 extended = True
         if not extended:
             breadth += 1
-            if emit is not None:
-                emit(path)
-    return loops, breadth
+            if want_paths:
+                keep(tuple(map(ids.__getitem__, path)))
+            if len(path) == span and len(set(path)) == span:
+                hp += 1
+                if v in closers:
+                    hc += 1
+    return loops, breadth, paths, hp, hc
 
 
 def _bots_run(adj: IndexedAdjacency, root: int) -> tuple[int, list[tuple[int, ...]]]:
@@ -160,44 +169,11 @@ def _bots_run(adj: IndexedAdjacency, root: int) -> tuple[int, list[tuple[int, ..
     return loops, leaves
 
 
-# one search job: rows, sorted ids, prefix, whether paths are wanted, and the
-# indices with an arc into the start (None when Hamilton tallies are off)
-SubtreeJob = tuple[IndexedAdjacency, list[VertexId], tuple[int, ...], bool, frozenset[int] | None]
-
-
-def _subtree(job: SubtreeJob) -> tuple[int, int, list[tuple[VertexId, ...]], int, int]:
-    """Search one subtree; return (loops, breadth, paths, HP, HC).
-
-    Each wanted path is kept as a vertex tuple, mapped where it is found.  A
-    Hamiltonian path visits every vertex once; it is also a cycle when its
-    end has an arc back to the start.
-    """
-    adj, ids, prefix, want_paths, closers = job
-    paths: list[tuple[VertexId, ...]] = []
-    keep = paths.append
-    span = len(adj)
-    hp = hc = 0
-
-    def emit(path) -> None:
-        nonlocal hp, hc
-        if want_paths:
-            keep(tuple(map(ids.__getitem__, path)))
-        if closers is not None and len(path) == span and len(set(path)) == span:
-            hp += 1
-            if path[-1] in closers:
-                hc += 1
-
-    on_leaf = emit if (want_paths or closers is not None) else None
-    loops, breadth = _obots_run(adj, prefix, on_leaf)
-    return loops, breadth, paths, hp, hc
-
-
 def _search(
     g: MultiTraversalRelation,
     start: VertexId,
     counts_only: bool,
     threads: int,
-    hamilton: bool,
 ) -> tuple[TraversalResult, HamiltonStats]:
     if start not in g.vertices:
         raise DomainError(f"start vertex {start} is not on the instance")
@@ -205,10 +181,8 @@ def _search(
         raise DomainError(f"threads must be at least 1, got {threads}")
     ids, index, adj = g.index_view
     root = index[start]
-    closers = None
-    if hamilton:
-        # closure is judged on the full stored relation, weights untouched
-        closers = frozenset(index[t] for t, h in g.arcs if h == start != t)
+    # closure is judged on the full stored relation, weights untouched
+    closers = frozenset(index[t] for t, h in g.arcs if h == start != t)
     want_paths = not counts_only
     if threads > 1 and adj[root]:
         # the root is on the path once and self-loops are absent from adj, so
@@ -218,10 +192,10 @@ def _search(
         jobs = [(adj, ids, (root, w), want_paths, closers) for w, _ in reversed(adj[root])]
         # under fork every worker starts up front, so never start more than jobs
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            parts = list(pool.map(_subtree, jobs))
+            parts = list(pool.map(_obots_run, jobs))
         loops = 1  # the root itself
     else:
-        parts = [_subtree((adj, ids, (root,), want_paths, closers))]
+        parts = [_obots_run((adj, ids, (root,), want_paths, closers))]
         loops = 0
     collected: list[SearchPath] = []
     breadth = hp = hc = 0
@@ -261,7 +235,7 @@ def obots_search(
     parallel processes, one per subtree at most, and merges their paths in
     the serial order.  ``threads`` < 1 raises :class:`DomainError`.
     """
-    result, _ = _search(g, start, counts_only, threads, hamilton=False)
+    result, _ = _search(g, start, counts_only, threads)
     return result
 
 
@@ -309,7 +283,7 @@ def search_report(
     threads: int = 1,
 ) -> tuple[TraversalResult, HamiltonStats]:
     """Counts-only search plus streaming Hamilton tallies; safe for huge breadths."""
-    return _search(g, start, True, threads, hamilton=True)
+    return _search(g, start, True, threads)
 
 
 def traversal_invariant(g: MultiTraversalRelation) -> dict[VertexId, int]:

@@ -135,6 +135,17 @@ class TestBatch:
         k1, k2, _ = bocps_batch(np.array([4], dtype=np.uint64), [6])
         assert (k1.tolist(), k2.tolist()) == ([2], [3])
 
+    def test_rejects_phase_count_beyond_cap(self):
+        # coprime lanes need min(m1, m2) phases: about 4.6e18 here, refused at once
+        with pytest.raises(DomainError, match="phases"):
+            bocps_batch([2**62], [2**62 - 1])
+        with pytest.raises(DomainError, match="phases"):
+            bocps_batch([3, 10**6 + 1], [2, 10**6 + 2])
+        # a large min(m1, m2) with a large gcd still runs: 10**6 + 1 phases
+        # by the cheap bound, one by the exact one
+        k1, k2, _ = bocps_batch([3, 10**6 + 1], [2, 10**6 + 1])
+        assert (k1.tolist(), k2.tolist()) == ([3, 1], [2, 1])
+
     def test_rejects_fractional_input(self):
         # an int64 cast would quietly answer (2, 3) and (4, 6)
         with pytest.raises(DomainError):

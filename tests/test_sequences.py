@@ -78,6 +78,8 @@ class TestCyclePermute:
     def test_rejects_non_cycles(self):
         with pytest.raises(DomainError):
             cycle_permute(ArcSequence.of((1, 2), (2, 3)), CyclePermutation(1, 1))
+        with pytest.raises(DomainError):
+            path_to_sequence((), close=True)  # no start to close back to
 
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=80)

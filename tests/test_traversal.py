@@ -241,11 +241,22 @@ class TestHamilton:
         assert (res.breadth, stats.hamiltonian_paths, stats.hamiltonian_cycles) == (1, 1, 0)
         assert hamilton_stats(obots_search(g, 1), g, 1) == stats
 
-    def test_stats_agree_with_collected(self):
+    def test_stats_agree_with_collected(self, rnd):
         g = gen_cycle(5)
         res = obots_search(g, 2)
         _, streamed = search_report(g, 2)
         assert hamilton_stats(res, g, 2) == streamed
+        # weights of 2 give paths of length n that repeat a vertex; the
+        # streaming tally must not count them as Hamiltonian
+        repeats = 0
+        for i in range(60):
+            g = random_connected_multigraph(rnd, 7, 2)
+            start = min(g.vertices)
+            res = obots_search(g, start)
+            repeats += any(len(p) == g.n > len(set(p.vertices)) for p in res.paths)
+            _, streamed = search_report(g, start, threads=2 if i % 20 == 0 else 1)
+            assert hamilton_stats(res, g, start) == streamed
+        assert repeats
 
 
 class TestInvariant:
