@@ -12,8 +12,6 @@ from relgraph import (
     bocps,
     chains_of,
     cycle_permute,
-    gcd_of,
-    lcm_of,
     minimal_power,
     path_to_sequence,
 )
@@ -35,4 +33,4 @@ print()
 print(f"{'m1':>5} {'m2':>5} {'k1':>5} {'k2':>5} {'loops':>6} {'gcd':>5} {'lcm':>6}")
 for m1, m2 in [(4, 6), (7, 5), (12, 18), (35, 14), (360, 84)]:
     res = bocps(m1, m2)
-    print(f"{m1:>5} {m2:>5} {res.k1:>5} {res.k2:>5} {res.loops:>6} {gcd_of(m1, m2):>5} {lcm_of(m1, m2):>6}")
+    print(f"{m1:>5} {m2:>5} {res.k1:>5} {res.k2:>5} {res.loops:>6} {res.gcd:>5} {res.lcm:>6}")

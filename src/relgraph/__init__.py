@@ -8,7 +8,7 @@ and lcm, layered graph partition, and randomized vertex coloring with exact
 desk-scale oracles.
 """
 
-from .bocps import BocpsResult, bocps, bocps_batch, gcd_of, lcm_of, minimal_ratio
+from .bocps import BocpsResult, bocps, bocps_batch
 from .coloring import (
     Coloring,
     IntervalPartition,
@@ -57,14 +57,12 @@ from .sequences import (
     is_trail,
     medium_vertices,
     minimal_power,
-    minimal_power_bocps,
     path_to_sequence,
 )
 from .traversal import (
     HamiltonStats,
     SearchPath,
     TraversalResult,
-    bots_search,
     hamilton_stats,
     obots_search,
     search_report,
@@ -95,14 +93,12 @@ __all__ = [
     "bocps_batch",
     "bogpc",
     "boerc",
-    "bots_search",
     "chains_of",
     "check_vbar_proposition",
     "chromatic_oracle",
     "classify",
     "cycle_permute",
     "enumerate_mcivs",
-    "gcd_of",
     "gen_complete",
     "gen_cycle",
     "gen_cycle_sequence",
@@ -114,14 +110,11 @@ __all__ = [
     "is_cycle",
     "is_path",
     "is_trail",
-    "lcm_of",
     "load_graph",
     "max_degree",
     "mcivs_lower_bound",
     "medium_vertices",
     "minimal_power",
-    "minimal_power_bocps",
-    "minimal_ratio",
     "obots_search",
     "parse_graph",
     "partition",

@@ -3,8 +3,9 @@
 For positive integers m1, m2 a cursor starts at 1 and repeatedly either adds
 m2 (within the first block) or subtracts m1 (beyond it), booking the two
 moves in k1 and k2.  The cursor first returns to 1 when k1*m2 = k2*m1 with
-(k1, k2) minimal, after exactly (m1 + m2) / gcd(m1, m2) steps; the pair
-yields the gcd, the lcm and the reduced ratio of m1 : m2.
+(k1, k2) minimal, after exactly (m1 + m2) / gcd(m1, m2) steps; the pair is
+the reduced ratio of m1 : m2, and :func:`bocps` returns it with the gcd
+m1 / k1 and the lcm m1 * k2 read off it.
 
 :func:`bocps_batch` runs the cursor over numpy lanes one phase (an add run
 then a subtract run) at a time.  A lane holds x = s - 1, which is 0 exactly
@@ -28,11 +29,17 @@ from .errors import DomainError, InvariantViolation
 
 @dataclass(frozen=True)
 class BocpsResult:
-    """Minimal positive solution of k1*m2 = k2*m1 plus the iteration count."""
+    """Minimal positive solution of k1*m2 = k2*m1, its step count and what it yields.
+
+    ``loops`` = k1 + k2 is the number of cursor steps, ``gcd`` = m1 / k1 and
+    ``lcm`` = m1 * k2; (k1, k2) is m1 : m2 in lowest terms.
+    """
 
     k1: int
     k2: int
     loops: int
+    gcd: int
+    lcm: int
 
 
 def bocps(m1: int, m2: int) -> BocpsResult:
@@ -46,7 +53,6 @@ def bocps(m1: int, m2: int) -> BocpsResult:
     cap = m1 + m2
     s = 1
     k1 = k2 = 0
-    loops = 0
     for _ in range(cap):
         if s > m1:
             s -= m1
@@ -54,30 +60,11 @@ def bocps(m1: int, m2: int) -> BocpsResult:
         else:
             s += m2
             k1 += 1
-        loops += 1
         if s == 1:
             break
     if s != 1:
         raise InvariantViolation(f"cursor failed to return within {cap} steps for ({m1}, {m2})")
-    return BocpsResult(k1=k1, k2=k2, loops=loops)
-
-
-def gcd_of(m1: int, m2: int) -> int:
-    """Greatest common factor, read off as m1 / k1."""
-    res = bocps(m1, m2)
-    return m1 // res.k1
-
-
-def lcm_of(m1: int, m2: int) -> int:
-    """Least common multiple, read off as m1 * k2."""
-    res = bocps(m1, m2)
-    return m1 * res.k2
-
-
-def minimal_ratio(m1: int, m2: int) -> tuple[int, int]:
-    """m1 : m2 reduced to lowest terms, as (k1, k2)."""
-    res = bocps(m1, m2)
-    return res.k1, res.k2
+    return BocpsResult(k1=k1, k2=k2, loops=k1 + k2, gcd=m1 // k1, lcm=m1 * k2)
 
 
 # bocps_batch compacts its lane arrays once at least 1/_COMPACT_SHARE of the

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import json
 import math
 import sys
@@ -257,15 +258,8 @@ def _cmd_bocps(args) -> int:
         raise SizeLimitError(
             f"{steps} cursor steps exceed the {_BOCPS_STEP_CAP} cap; pass --force to insist"
         )
-    res = bocps(args.m1, args.m2)
-    row = {
-        "k1": res.k1,
-        "k2": res.k2,
-        "gcd": args.m1 // res.k1,
-        "lcm": args.m1 * res.k2,
-        "loops": res.loops,
-    }
-    _emit(args, {"m1": args.m1, "m2": args.m2}, ["k1", "k2", "gcd", "lcm", "loops"], [row])
+    row = dataclasses.asdict(bocps(m1, m2))
+    _emit(args, {"m1": m1, "m2": m2}, ["k1", "k2", "gcd", "lcm", "loops"], [row])
     return 0
 
 

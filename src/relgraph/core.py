@@ -16,6 +16,7 @@ the vertex set of an instance is exactly the set of arc endpoints.
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -54,24 +55,33 @@ class MultiTraversalRelation:
         """Build a relation from ``(tail, head)`` or ``(tail, head, weight)`` triples.
 
         Repeated (tail, head) entries have their weights summed, matching the
-        multiset reading of a literal arc enumeration.
+        multiset reading of a literal arc enumeration.  An id or weight that
+        is not an integer (one ``operator.index`` refuses) raises
+        :class:`DomainError`.
         """
         table: dict[Arc, int] = {}
-        for entry in arcs:
-            if len(entry) == 2:
-                tail, head = entry  # type: ignore[misc]
-                weight = 1
-            else:
-                tail, head, weight = entry  # type: ignore[misc]
-            if tail < 1 or head < 1:
-                raise DomainError(f"vertex ids must be positive, got arc ({tail}, {head})")
-            if weight < 1:
-                raise DomainError(f"arc multiplicities must be positive, got {weight} on ({tail}, {head})")
-            arc = Arc(tail, head)
-            table[arc] = table.get(arc, 0) + weight
+        try:
+            for entry in arcs:
+                if len(entry) == 2:
+                    tail, head = entry  # type: ignore[misc]
+                    weight = 1
+                else:
+                    tail, head, weight = entry  # type: ignore[misc]
+                if tail < 1 or head < 1:
+                    raise DomainError(f"vertex ids must be positive, got arc ({tail}, {head})")
+                if weight < 1:
+                    raise DomainError(f"arc multiplicities must be positive, got {weight} on ({tail}, {head})")
+                arc = Arc(tail, head)
+                table[arc] = table.get(arc, 0) + weight
+            verts = frozenset(v for arc in table for v in arc)
+            # floats and the like pass the comparisons above; check once over
+            # the summed table rather than once per entry
+            for value in (*verts, *table.values()):
+                operator.index(value)
+        except TypeError:
+            raise DomainError("vertex ids and multiplicities must be integers") from None
         if not table:
             raise DomainError("a relation needs at least one arc")
-        verts = frozenset(v for arc in table for v in arc)
         return cls(arcs=table, vertices=verts)
 
     @property

@@ -117,23 +117,6 @@ def minimal_power(n: int, m: int) -> int:
     return n // math.gcd(n, m)
 
 
-def minimal_power_bocps(n: int, m: int) -> int:
-    """Cross-check backend for :func:`minimal_power` via the coefficient search.
-
-    The prefix and suffix lengths play the two-number role: the permutation
-    returns to the identity after k1 + k2 steps, the minimal coefficients of
-    the pair (m, n - m).
-    """
-    from .bocps import bocps
-
-    if not 1 <= m <= n:
-        raise DomainError("permutation index must lie in 1..n")
-    if m == n:
-        return 1
-    res = bocps(m, n - m)
-    return res.k1 + res.k2
-
-
 def chains_of(s: ArcSequence) -> tuple[ArcSequence, ...]:
     """All distinct rotations of a cycle with their final arc dropped.
 

@@ -9,11 +9,9 @@ Self-loops are stored but never traversed.
 ``obots_search`` reads the relation's cached ``index_view`` (vertex ids
 remapped to 0..n-1 in ascending order, with weighted out-rows and no
 self-loops) and compares stored weights against per-path occurrence counts,
-with no table copies.  ``bots_search`` is its serial reference: it realises
-the discipline literally, copying the weight table for every pending path
-and decrementing it arc by arc.  Both push children in ascending id order
-onto a LIFO stack, so repeated runs are bit-identical and the two give
-identical path sequences.
+with no table copies.  Children are pushed in ascending id order onto a LIFO
+stack, so repeated runs are bit-identical.  The tests hold the literal
+table-copying reference (BOTS), which reads the arc table itself.
 
 One engine loop, ``_obots_run``, serves every mode of ``obots_search`` and
 ``search_report``.  At each leaf it counts the path, keeps it as vertex ids
@@ -138,37 +136,6 @@ def _obots_run(job: SearchJob) -> tuple[int, int, list[tuple[VertexId, ...]], in
     return loops, breadth, paths, hp, hc
 
 
-def _bots_run(adj: IndexedAdjacency, root: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Literal table search: pop a path, rebuild the decremented table, scan.
-
-    Returns the loop count and the maximal index paths in emission order.
-    """
-    arcs = {(t, h): w for t, row in enumerate(adj) for h, w in row}
-    in_rows: list[list[int]] = [[] for _ in adj]
-    for t, h in arcs:
-        in_rows[h].append(t)
-
-    loops = 0
-    leaves: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [(root,)]
-    while stack:
-        path = stack.pop()
-        loops += 1
-        table = dict(arcs)
-        for v in path:  # one equivalent visit per appearance on the path
-            for u in in_rows[v]:
-                w = table[(u, v)]
-                if w > 0:
-                    table[(u, v)] = w - 1
-        end = path[-1]
-        extensions = [w for w, _ in adj[end] if table[(end, w)] > 0]
-        if not extensions:
-            leaves.append(path)
-        else:
-            stack.extend(path + (w,) for w in extensions)
-    return loops, leaves
-
-
 def _search(
     g: MultiTraversalRelation,
     start: VertexId,
@@ -237,20 +204,6 @@ def obots_search(
     """
     result, _ = _search(g, start, counts_only, threads)
     return result
-
-
-def bots_search(g: MultiTraversalRelation, start: VertexId) -> TraversalResult:
-    """Table-copying exhaustive search, the serial reference for :func:`obots_search`.
-
-    Keeps every path; the result equals ``obots_search(g, start)`` in every
-    field.
-    """
-    if start not in g.vertices:
-        raise DomainError(f"start vertex {start} is not on the instance")
-    ids, index, adj = g.index_view
-    loops, leaves = _bots_run(adj, index[start])
-    paths = tuple(SearchPath(tuple(map(ids.__getitem__, leaf))) for leaf in leaves)
-    return TraversalResult(paths, loops, len(paths), disconnected=not is_connected(g))
 
 
 def hamilton_stats(

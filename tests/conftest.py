@@ -2,19 +2,39 @@
 
 The oracles here deliberately avoid the library's own machinery: brute-force
 path enumeration is a plain recursive DFS, distances come from a deque BFS,
-and the chromatic check tries every assignment.  They are the second route
-against which the algorithms under test are compared.
+and the chromatic check tries every assignment.  ``bots_search`` is the
+literal table-copying search (BOTS) over the raw ``g.arcs`` table with
+vertex ids, so it shares no cached view with the engine it checks.
+``minimal_power_bocps`` reaches the permutation power through the ``bocps``
+cursor instead of the gcd.  They are the second route against which the
+algorithms under test are compared.
 """
 
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 from collections import deque
 
 import pytest
 
-from relgraph import MultiTraversalRelation
+from relgraph import MultiTraversalRelation, bocps
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def readme_commands() -> list[str]:
+    """Every command of the README's command-line block, in order, comments dropped."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [
+        piece.strip()
+        for line in block.splitlines()
+        for piece in line.split("#", 1)[0].split("&&")
+        if piece.strip()
+    ]
 
 
 def relation_from(arcs) -> MultiTraversalRelation:
@@ -130,6 +150,46 @@ def brute_spanning_paths(g: MultiTraversalRelation, start: int) -> tuple[int, in
 
     rec(start, {start}, 1)
     return spanning, closing
+
+
+def bots_search(g: MultiTraversalRelation, start: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(loops, maximal paths in emission order) of the literal table search.
+
+    Each popped path gets a fresh copy of the weights, loses one unit on every
+    arc into each appearance of a vertex on it, and is extended by every head
+    out of its end (self-loops aside) whose arc still has weight, pushed in
+    ascending id order onto a LIFO stack.
+    """
+    into: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for arc in g.arcs:
+        into[arc.head].append(arc)
+    loops = 0
+    leaves: list[tuple[int, ...]] = []
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        loops += 1
+        table = dict(g.arcs)
+        for v in path:
+            for arc in into[v]:
+                if table[arc] > 0:
+                    table[arc] -= 1
+        end = path[-1]
+        heads = sorted(h for (t, h), w in table.items() if t == end != h and w > 0)
+        if heads:
+            stack.extend(path + (h,) for h in heads)
+        else:
+            leaves.append(path)
+    return loops, leaves
+
+
+def minimal_power_bocps(n: int, m: int) -> int:
+    """Least identity power of the index-m swap on n arcs, as the cursor's step count.
+
+    The prefix and suffix lengths (m, n - m) are the two numbers: the swap
+    returns to the identity after k1 + k2 steps of their minimal coefficients.
+    """
+    return 1 if m == n else bocps(m, n - m).loops
 
 
 def brute_chromatic(g: MultiTraversalRelation) -> int:

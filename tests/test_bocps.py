@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relgraph import (
-    DomainError,
-    bocps,
-    bocps_batch,
-    gcd_of,
-    lcm_of,
-    minimal_ratio,
-)
+from relgraph import DomainError, bocps, bocps_batch
 
 positive = st.integers(1, 1000)
 
@@ -36,11 +29,11 @@ class TestKnownValues:
 
     @pytest.mark.parametrize("pair, expect", [((4, 6), 2), ((9, 9), 9), ((1, 17), 1)])
     def test_gcd(self, pair, expect):
-        assert gcd_of(*pair) == expect
+        assert bocps(*pair).gcd == expect
 
     @pytest.mark.parametrize("pair, expect", [((4, 6), 12), ((9, 1), 9), ((3, 5), 15)])
     def test_lcm(self, pair, expect):
-        assert lcm_of(*pair) == expect
+        assert bocps(*pair).lcm == expect
 
     def test_domain(self):
         for bad in [(0, 3), (3, 0), (-1, 2)]:
@@ -57,10 +50,9 @@ class TestOracle:
         assert res.k1 * m2 == res.k2 * m1
         assert math.gcd(res.k1, res.k2) == 1
         assert (res.k1, res.k2) == (m1 // g, m2 // g)
-        assert gcd_of(m1, m2) == g
-        assert lcm_of(m1, m2) == m1 * m2 // g
-        assert minimal_ratio(m1, m2) == (m1 // g, m2 // g)
-        assert res.loops == res.k1 + res.k2 <= m1 + m2
+        assert res.gcd == g
+        assert res.lcm == m1 * m2 // g
+        assert res.loops == res.k1 + res.k2 == (m1 + m2) // g <= m1 + m2
 
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 12))
     @settings(max_examples=120)
@@ -118,7 +110,8 @@ class TestBatch:
 
     def test_rejects_lane_sum_beyond_int64(self):
         # x + step reaches m1 + m2 - 1, which would wrap; the scalar loop is exact
-        assert bocps(2**62, 3 * 2**61) == bocps(2, 3)
+        big, small = bocps(2**62, 3 * 2**61), bocps(2, 3)
+        assert (big.k1, big.k2, big.loops) == (small.k1, small.k2, small.loops)
         with pytest.raises(DomainError, match="scalar bocps"):
             bocps_batch([2**62], [3 * 2**61])
         with pytest.raises(DomainError, match="scalar bocps"):

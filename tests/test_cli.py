@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
-import pathlib
 import shlex
 
 import pytest
 
 import relgraph.cli as cli
 from relgraph import parse_graph
+
+from conftest import readme_commands
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -412,14 +413,7 @@ class TestFlagScope:
 
     def test_readme_commands_parse(self):
         # every relgraph line of the README's command-line block parses as written
-        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
-        commands = [
-            piece.strip()
-            for line in block.splitlines()
-            for piece in line.split("#", 1)[0].split("&&")
-            if piece.strip()
-        ]
+        commands = readme_commands()
         assert len(commands) >= 12
         parser = cli._build_parser()
         for command in commands:

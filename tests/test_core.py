@@ -90,6 +90,12 @@ class TestParse:
             parse_graph("1 2 0\n")
         with pytest.raises(DomainError):
             parse_graph("# nothing\n")
+        # from_arcs refuses what parse_graph could not read back
+        for arcs in (
+            [(1, 2, 1.5), (2, 1)], [(1.5, 2), (2, 1.5)], [(1, 2, 1.0)], [("1", 2)], [(1, 2, None)]
+        ):
+            with pytest.raises(DomainError, match="integers"):
+                MultiTraversalRelation.from_arcs(arcs)
 
     @given(arc_entries)
     @settings(max_examples=60)

@@ -22,11 +22,12 @@ from relgraph import (
     is_trail,
     medium_vertices,
     minimal_power,
-    minimal_power_bocps,
     obots_search,
     path_to_sequence,
     search_report,
 )
+
+from conftest import minimal_power_bocps
 
 
 def ring(*vertices: int) -> ArcSequence:
