@@ -3,18 +3,19 @@
 Subcommands mirror the library: generators, classification, exhaustive
 traversal with loop/breadth/Hamilton accounting, the Euler-limit table over
 complete graphs, the per-start invariant check, layered partition, the
-coefficient search, the coloring heuristics and exact enumeration, and the
-arc-sequence validators.
+coefficient search, the coloring trials, exact colouring, the
+cycle-permutation power and the arc-sequence validators.
 
-Flags follow the subcommand; each subcommand accepts only the flags it reads,
-and any other flag is a usage error.  Output is TSV by default and a single
-JSON document with ``--json``.  Wall times are printed only with ``--times``
-so that default output is byte-identical across runs given the same seed.
-A flag that the chosen mode does not read is a usage error too:
-``color --exact`` reads no trial flag, ``sequences minpower`` no ``--arcs``,
-and the other ``sequences`` kinds no numbers.  ``--force`` lifts the size
-guards of ``gen``, ``euler``, ``bocps`` and ``color``; ``--threads N``
-starts at most N workers, and no more than the start has children.
+Each subcommand has one job, and argparse declares every argument it
+reads, so argparse decides which argvs are legal (only the parameter count
+of a ``gen`` family is checked by hand): a flag placed before the
+subcommand, or one the subcommand does not read, is a usage error.
+Output is TSV by default and a single JSON document with
+``--json``.  Wall times are printed only with ``--times`` so that default
+output is byte-identical across runs given the same seed.  ``--force``
+lifts the size guards of ``gen``, ``euler``, ``bocps``, ``color`` and
+``chromatic``; ``--threads N`` starts at most N workers, and no more than
+the start has children.
 
 Exit codes: 0 success, 1 usage error, 2 domain or size refusal, 3 internal
 invariant violation.
@@ -29,6 +30,7 @@ import json
 import math
 import sys
 import time
+from argparse import ArgumentTypeError
 
 from . import core, sequences
 from .bocps import bocps
@@ -52,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 # every flag a handler reads, declared only on the subcommands that read it
 _FLAGS = {
     "--json": dict(action="store_true", help="emit one JSON document"),
-    "--seed": dict(type=int, help="base seed for randomized runs (default 0)"),
+    "--seed": dict(type=int, default=0, help="base seed for randomized runs"),
     "--threads": dict(type=int, default=1, help="at most this many subtree workers"),
     "--undirected": dict(action="store_true", help="mirror every arc on load"),
     "--force": dict(action="store_true", help="lift desk-scale size guards"),
@@ -64,52 +66,60 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="relgraph")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def command(name: str, help: str, *flags: str) -> _Parser:
+    def command(name: str, handler, help: str, *flags: str) -> _Parser:
         # no prefix matching: it would read `partition --seed 5` as `--seeds 5`
         p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(handler=handler)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    p = command("gen", "write a generated instance", "--force")
+    p = command("gen", _cmd_gen, "write a generated instance", "--force")
     p.add_argument("family", choices=list(_GEN_FAMILIES))
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("-o", "--out", default=None, help="output file (default stdout)")
 
-    p = command("classify", "print the instance class", "--json", "--undirected")
+    p = command("classify", _cmd_classify, "print the instance class", "--json", "--undirected")
     p.add_argument("file")
 
-    p = command("traverse", "exhaustive search report",
+    p = command("traverse", _cmd_traverse, "exhaustive search report",
                 "--json", "--threads", "--undirected", "--times")
     p.add_argument("file")
     p.add_argument("--start", type=int, required=True)
 
-    p = command("euler", "loop/breadth ratios over complete graphs",
+    p = command("euler", _cmd_euler, "loop/breadth ratios over complete graphs",
                 "--json", "--threads", "--force", "--times")
     p.add_argument("--max", type=int, default=9, dest="n_max")
 
-    p = command("invariant", "per-start Hamiltonian cycle counts", "--json", "--undirected")
+    p = command("invariant", _cmd_invariant, "per-start Hamiltonian cycle counts",
+                "--json", "--undirected")
     p.add_argument("file")
 
-    p = command("partition", "layered region sequence", "--json", "--undirected")
+    p = command("partition", _cmd_partition, "layered region sequence", "--json", "--undirected")
     p.add_argument("file")
-    p.add_argument("--seeds", required=True, help="comma-separated seed vertices")
+    p.add_argument("--seeds", type=_int_list, required=True, help="comma-separated seed vertices")
 
-    p = command("bocps", "minimal coefficients, gcd and lcm", "--json", "--force")
+    p = command("bocps", _cmd_bocps, "minimal coefficients, gcd and lcm", "--json", "--force")
     p.add_argument("m1", type=int)
     p.add_argument("m2", type=int)
 
-    p = command("color", "randomized coloring trials or exact enumeration",
+    p = command("color", _cmd_color, "randomized coloring trials",
                 "--json", "--seed", "--undirected", "--force")
     p.add_argument("file")
-    p.add_argument("--algo", choices=["bogpc", "boerc"], help="default bogpc")
-    p.add_argument("--trials", type=int, help="default 1")
-    p.add_argument("--exact", action="store_true", help="enumerate interval layouts instead")
+    p.add_argument("--algo", choices=["bogpc", "boerc"], default="bogpc")
+    p.add_argument("--trials", type=int, default=1)
 
-    p = command("sequences", "arc-sequence validators")
-    p.add_argument("kind", choices=["trail", "path", "cycle", "medium", "chains", "minpower"])
-    p.add_argument("numbers", nargs="*", type=int, help="N and m for minpower")
-    p.add_argument("--arcs", default=None, help='arc list like "1-2,2-3,3-1"')
+    p = command("chromatic", _cmd_chromatic, "interval layouts, bound and chromatic number",
+                "--json", "--undirected", "--force")
+    p.add_argument("file")
+
+    p = command("minpower", _cmd_minpower, "least identity power of the index-m cycle permutation")
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int)
+
+    p = command("sequences", _cmd_sequences, "arc-sequence validators")
+    p.add_argument("kind", choices=["trail", "path", "cycle", "medium", "chains"])
+    p.add_argument("--arcs", type=_arc_sequence, required=True, help='arc list like "1-2,2-3,3-1"')
 
     return parser
 
@@ -229,19 +239,22 @@ def _cmd_invariant(args) -> int:
     return 0
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ArgumentTypeError(f"expected integers like 1,16, got {text!r}") from None
+
+
 def _cmd_partition(args) -> int:
     g = _load(args)
-    try:
-        seeds = [int(tok) for tok in args.seeds.split(",") if tok]
-    except ValueError:
-        raise _UsageError("--seeds wants comma-separated integers") from None
-    result = partition(g, seeds)
+    result = partition(g, args.seeds)
     row = {
         "regions": result.t,
         "sizes": ",".join(str(s) for s in result.sizes()),
         "stranded": len(result.stranded),
     }
-    _emit(args, {"file": args.file, "seeds": seeds}, ["regions", "sizes", "stranded"], [row])
+    _emit(args, {"file": args.file, "seeds": args.seeds}, ["regions", "sizes", "stranded"], [row])
     return 0
 
 
@@ -263,28 +276,11 @@ def _cmd_bocps(args) -> int:
     return 0
 
 
-# the flags only the colouring trials read, with their defaults
-_TRIAL_DEFAULTS = {"algo": "bogpc", "trials": 1, "seed": 0}
 _TRIAL_ARC_CAP = 1_000_000  # trials x arcs; 100,000 trials on C5 take about 5 s
 
 
 def _cmd_color(args) -> int:
-    given = [f"--{name}" for name in _TRIAL_DEFAULTS if getattr(args, name) is not None]
-    if args.exact and given:
-        raise _UsageError(f"--exact does not read {', '.join(given)}")
-    for name, default in _TRIAL_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
     g = _load(args)
-    if args.exact:
-        layouts = enumerate_mcivs(g, force=args.force)
-        by_classes = collections.Counter(len(layout.classes) for layout in layouts)
-        rows = [{"classes": k, "layouts": by_classes[k]} for k in sorted(by_classes)]
-        best = min(layout.bound for layout in layouts)
-        chromatic = chromatic_oracle(g, force=args.force)
-        params = {"file": args.file, "bound": best, "chromatic": chromatic}
-        _emit(args, params, ["classes", "layouts"], rows)
-        return 0
     if args.trials < 1:
         raise DomainError(f"--trials must be at least 1, got {args.trials}")
     if args.trials * len(g.arcs) > _TRIAL_ARC_CAP and not args.force:
@@ -301,30 +297,38 @@ def _cmd_color(args) -> int:
     return 0
 
 
-def _parse_arcs(text: str) -> sequences.ArcSequence:
+def _cmd_chromatic(args) -> int:
+    g = _load(args)
+    layouts = enumerate_mcivs(g, force=args.force)
+    by_classes = collections.Counter(len(layout.classes) for layout in layouts)
+    rows = [{"classes": k, "layouts": by_classes[k]} for k in sorted(by_classes)]
+    bound = min(layout.bound for layout in layouts)
+    chromatic = chromatic_oracle(g, force=args.force)
+    params = {"file": args.file, "bound": bound, "chromatic": chromatic}
+    _emit(args, params, ["classes", "layouts"], rows)
+    if not args.json:
+        print(f"bound\t{bound}\nchromatic\t{chromatic}")
+    return 0
+
+
+def _cmd_minpower(args) -> int:
+    print(sequences.minimal_power(args.n, args.m))
+    return 0
+
+
+def _arc_sequence(text: str) -> sequences.ArcSequence:
     pairs = []
     for token in text.replace(",", " ").split():
         try:
             a, b = token.split("-")
             pairs.append((int(a), int(b)))
         except ValueError:
-            raise _UsageError(f"bad arc token {token!r}, expected like 1-2") from None
+            raise ArgumentTypeError(f"bad arc token {token!r}, expected like 1-2") from None
     return sequences.ArcSequence.of(*pairs)
 
 
 def _cmd_sequences(args) -> int:
-    if args.kind == "minpower":
-        if args.arcs is not None:
-            raise _UsageError("minpower does not read --arcs")
-        if len(args.numbers) != 2:
-            raise _UsageError("minpower takes two integers: N m")
-        print(sequences.minimal_power(args.numbers[0], args.numbers[1]))
-        return 0
-    if args.numbers:
-        raise _UsageError(f"{args.kind} takes no numbers, only --arcs")
-    if args.arcs is None:
-        raise _UsageError(f"{args.kind} needs --arcs")
-    seq = _parse_arcs(args.arcs)
+    seq = args.arcs
     if args.kind == "trail":
         print(sequences.is_trail(seq))
     elif args.kind == "path":
@@ -339,24 +343,11 @@ def _cmd_sequences(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "classify": _cmd_classify,
-    "traverse": _cmd_traverse,
-    "euler": _cmd_euler,
-    "invariant": _cmd_invariant,
-    "partition": _cmd_partition,
-    "bocps": _cmd_bocps,
-    "color": _cmd_color,
-    "sequences": _cmd_sequences,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

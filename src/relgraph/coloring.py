@@ -174,6 +174,13 @@ def boerc(g: MultiTraversalRelation, seed: int) -> Coloring:
 # ---------------------------------------------------------------------------
 
 
+def _check_exact_cap(g: MultiTraversalRelation, force: bool, what: str) -> None:
+    if g.n > EXACT_CAP and not force:
+        raise SizeLimitError(
+            f"{what} is capped at n <= {EXACT_CAP}, instance has {g.n}; pass --force to insist"
+        )
+
+
 def enumerate_mcivs(g: MultiTraversalRelation, *, force: bool = False) -> tuple[IntervalPartition, ...]:
     """Every split of the vertices into independent size->=2 classes plus a clique.
 
@@ -186,11 +193,7 @@ def enumerate_mcivs(g: MultiTraversalRelation, *, force: bool = False) -> tuple[
     own size.  Instances above ``EXACT_CAP`` vertices are refused unless
     ``force`` is set.
     """
-    if g.n > EXACT_CAP and not force:
-        raise SizeLimitError(
-            f"exact enumeration is capped at n <= {EXACT_CAP}, instance has {g.n}; "
-            "pass --force to insist"
-        )
+    _check_exact_cap(g, force, "exact enumeration")
     adjacency = g.neighbours
     verts = sorted(g.vertices)
     results: list[IntervalPartition] = []
@@ -236,11 +239,7 @@ def chromatic_oracle(g: MultiTraversalRelation, *, force: bool = False) -> int:
 
     Instances above ``EXACT_CAP`` vertices are refused unless ``force`` is set.
     """
-    if g.n > EXACT_CAP and not force:
-        raise SizeLimitError(
-            f"chromatic oracle is capped at n <= {EXACT_CAP}, instance has {g.n}; "
-            "pass --force to insist"
-        )
+    _check_exact_cap(g, force, "chromatic oracle")
     adjacency = g.neighbours
     order = sorted(g.vertices, key=lambda v: -len(adjacency[v]))
     n = len(order)

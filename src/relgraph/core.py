@@ -55,22 +55,23 @@ class MultiTraversalRelation:
         """Build a relation from ``(tail, head)`` or ``(tail, head, weight)`` triples.
 
         Repeated (tail, head) entries have their weights summed, matching the
-        multiset reading of a literal arc enumeration.  An id or weight that
-        is not an integer (one ``operator.index`` refuses) raises
-        :class:`DomainError`.
+        multiset reading of a literal arc enumeration.  An entry of another
+        length, or an id or weight that is not an integer (a bool, or one
+        ``operator.index`` refuses), raises :class:`DomainError`.
         """
         table: dict[Arc, int] = {}
         try:
             for entry in arcs:
-                if len(entry) == 2:
-                    tail, head = entry  # type: ignore[misc]
-                    weight = 1
-                else:
-                    tail, head, weight = entry  # type: ignore[misc]
+                if len(entry) not in (2, 3):
+                    raise DomainError(f"an arc is (tail, head) or (tail, head, weight), got {entry!r}")
+                tail, head, weight = entry if len(entry) == 3 else (*entry, 1)  # type: ignore[misc]
                 if tail < 1 or head < 1:
                     raise DomainError(f"vertex ids must be positive, got arc ({tail}, {head})")
                 if weight < 1:
                     raise DomainError(f"arc multiplicities must be positive, got {weight} on ({tail}, {head})")
+                # False fails the checks above; True would merge with 1 or be written as "True"
+                if tail is True or head is True or weight is True:
+                    raise DomainError(f"vertex ids and multiplicities must be integers, got {entry!r}")
                 arc = Arc(tail, head)
                 table[arc] = table.get(arc, 0) + weight
             verts = frozenset(v for arc in table for v in arc)
@@ -226,6 +227,9 @@ def is_connected(g: MultiTraversalRelation) -> bool:
 
 def relabel(g: MultiTraversalRelation, mapping: Mapping[VertexId, VertexId]) -> MultiTraversalRelation:
     """Apply a vertex relabeling; ``mapping`` must cover every vertex injectively."""
+    uncovered = sorted(g.vertices - mapping.keys())
+    if uncovered:
+        raise DomainError(f"relabeling does not cover vertices {uncovered}")
     image = {mapping[v] for v in g.vertices}
     if len(image) != g.n:
         raise DomainError("relabeling must be injective over the vertex set")

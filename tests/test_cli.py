@@ -10,7 +10,7 @@ import pytest
 import relgraph.cli as cli
 from relgraph import parse_graph
 
-from conftest import readme_commands
+from conftest import ROOT, readme_commands
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -225,22 +225,25 @@ class TestColorCmd:
         assert first == second
 
     def test_exact_summary(self, capsys, c5_file):
-        code, out, _ = run(capsys, "color", c5_file, "--exact", "--json")
+        code, out, _ = run(capsys, "chromatic", c5_file, "--json")
         assert code == 0
         doc = json.loads(out)
+        assert doc["command"] == "chromatic"
         assert doc["params"]["bound"] == 3
         assert doc["params"]["chromatic"] == 3
+        # the TSV ends with the same two numbers
+        assert run(capsys, "chromatic", c5_file)[1] == "classes\tlayouts\n2\t5\nbound\t3\nchromatic\t3\n"
 
     def test_exact_size_refusal(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         cli.main(["gen", "cycleseq", "9", "3", "-o", str(path)])
-        assert run(capsys, "color", str(path), "--exact")[0] == 2
+        assert run(capsys, "chromatic", str(path))[0] == 2
 
     def test_exact_default_cap_refuses_dodecahedron(self, capsys, tmp_path):
         # n = 20 is past the default cap of 12, so the refusal comes before any enumeration
         path = tmp_path / "dodeca.txt"
         cli.main(["gen", "cycleseq", "5", "3", "-o", str(path)])
-        code, out, err = run(capsys, "color", str(path), "--exact")
+        code, out, err = run(capsys, "chromatic", str(path))
         assert code == 2
         assert out == ""
         assert "n <= 12" in err
@@ -249,11 +252,11 @@ class TestColorCmd:
         # K13 has a single layout, so lifting the cap costs nothing
         path = tmp_path / "k13.txt"
         cli.main(["gen", "complete", "13", "-o", str(path)])
-        code, out, err = run(capsys, "color", str(path), "--exact")
+        code, out, err = run(capsys, "chromatic", str(path))
         assert code == 2
         assert out == ""
         assert "--force" in err
-        code, out, _ = run(capsys, "color", str(path), "--exact", "--json", "--force")
+        code, out, _ = run(capsys, "chromatic", str(path), "--json", "--force")
         assert code == 0
         params = json.loads(out)["params"]
         assert (params["bound"], params["chromatic"]) == (13, 13)
@@ -296,10 +299,10 @@ class TestSequencesCmd:
         assert out.strip().splitlines() == ["1-2", "2-1"]
 
     def test_minpower(self, capsys):
-        assert run(capsys, "sequences", "minpower", "6", "2")[1].strip() == "3"
+        assert run(capsys, "minpower", "6", "2")[1].strip() == "3"
 
     def test_usage_errors(self, capsys):
-        assert run(capsys, "sequences", "minpower", "6")[0] == 1
+        assert run(capsys, "minpower", "6")[0] == 1
         assert run(capsys, "sequences", "cycle")[0] == 1
         assert run(capsys, "sequences", "cycle", "--arcs", "nope")[0] == 1
 
@@ -352,6 +355,8 @@ ACCEPTED = {
     "euler": {"--json", "--threads", "--force", "--times"},
     "bocps": {"--json", "--force"},
     "color": {"--json", "--seed", "--undirected", "--force"},
+    "chromatic": {"--json", "--undirected", "--force"},
+    "minpower": set(),
     "sequences": set(),
 }
 BASE_ARGV = {
@@ -363,6 +368,8 @@ BASE_ARGV = {
     "euler": ["euler", "--max", "4"],
     "bocps": ["bocps", "4", "6"],
     "color": ["color", "g.txt"],
+    "chromatic": ["chromatic", "g.txt"],
+    "minpower": ["minpower", "6", "2"],
     "sequences": ["sequences", "cycle", "--arcs", "1-2,2-1"],
 }
 FLAG_ARGV = {
@@ -383,16 +390,19 @@ REFUSED = [
     pytest.param(["--json", "classify", "g.txt"], id="--json before classify"),
     pytest.param(["--force", "gen", "complete", "5"], id="--force before gen"),
     pytest.param(["--seed", "5", "--threads", "3", "bocps", "4", "6"], id="--seed --threads before bocps"),
-    # removed options and flags the chosen mode does not read
+    # arguments a subcommand does not declare
+    pytest.param(["chromatic", "g.txt", "--trials", "500"], id="chromatic --trials"),
+    pytest.param(["chromatic", "g.txt", "--algo", "boerc"], id="chromatic --algo"),
+    pytest.param(["minpower", "6", "2", "--arcs", "1-2"], id="minpower --arcs"),
+    pytest.param(["sequences", "trail", "3", "4", "--arcs", "1-2,2-3"], id="sequences trail numbers"),
+    # removed options and subcommand modes
     pytest.param(["traverse", "g.txt", "--start", "1", "--algo", "bots"], id="traverse --algo bots"),
     pytest.param(["bocps", "100", "3", "--half-cap"], id="bocps --half-cap"),
-    pytest.param(["sequences", "trail", "3", "4", "--arcs", "1-2,2-3"], id="sequences trail numbers"),
-    pytest.param(["sequences", "minpower", "6", "2", "--arcs", "1-2"], id="sequences minpower --arcs"),
-    pytest.param(["color", "g.txt", "--exact", "--trials", "500"], id="color --exact --trials"),
-    pytest.param(["color", "g.txt", "--exact", "--algo", "boerc"], id="color --exact --algo"),
-    pytest.param(["color", "g.txt", "--exact", "--seed", "3"], id="color --exact --seed"),
+    pytest.param(["color", "g.txt", "--exact"], id="color --exact"),
+    # every other flag here is legal on color, so only --exact can fail it
     pytest.param(["color", "g.txt", "--exact", "--trials", "500", "--algo", "boerc", "--seed", "3"],
                  id="color --exact with every trial flag"),
+    pytest.param(["sequences", "minpower", "6", "2"], id="sequences minpower"),
 ]
 
 
@@ -410,6 +420,19 @@ class TestFlagScope:
     def test_read_flag_parses(self, cmd, flag):
         args = cli._build_parser().parse_args(BASE_ARGV[cmd] + FLAG_ARGV[flag])
         assert getattr(args, flag[2:]) == {"--seed": 5, "--threads": 3}.get(flag, True)
+
+    def test_readme_table_matches_accepted(self):
+        # the README's `| subcommand | flags |` table lists exactly ACCEPTED
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        listed = {}
+        for line in table.splitlines():
+            commands, flags = (cell.strip() for cell in line.strip("|").split("|"))
+            for command in commands.split(", "):
+                listed[command.strip("`")] = (
+                    set() if flags == "none" else {flag.strip("`") for flag in flags.split(", ")}
+                )
+        assert listed == ACCEPTED
 
     def test_readme_commands_parse(self):
         # every relgraph line of the README's command-line block parses as written

@@ -92,9 +92,13 @@ class TestParse:
             parse_graph("# nothing\n")
         # from_arcs refuses what parse_graph could not read back
         for arcs in (
-            [(1, 2, 1.5), (2, 1)], [(1.5, 2), (2, 1.5)], [(1, 2, 1.0)], [("1", 2)], [(1, 2, None)]
+            [(1, 2, 1.5), (2, 1)], [(1.5, 2), (2, 1.5)], [(1, 2, 1.0)], [("1", 2)], [(1, 2, None)],
+            [(True, 2), (2, True)], [(1, 2), (True, 2)], [(1, 2, True)],
         ):
             with pytest.raises(DomainError, match="integers"):
+                MultiTraversalRelation.from_arcs(arcs)
+        for arcs in ([(1, 2, 1, 9)], [(1,)]):
+            with pytest.raises(DomainError, match="an arc is"):
                 MultiTraversalRelation.from_arcs(arcs)
 
     @given(arc_entries)
@@ -236,6 +240,8 @@ class TestConnectivity:
     def test_relabel_requires_injection(self):
         with pytest.raises(DomainError):
             relabel(gen_path(2), {1: 7, 2: 7})
+        with pytest.raises(DomainError, match=r"does not cover vertices \[4\]"):
+            relabel(gen_cycle(4), {1: 5, 2: 6, 3: 7})
 
 
 class TestDerivedViews:
