@@ -26,7 +26,7 @@ cases = [
     ("3x3 grid", gen_grid(3, 3)),
 ]
 for label, g in cases:
-    layouts = enumerate_mcivs(g)
+    layouts = list(enumerate_mcivs(g))
     best = min(p.bound for p in layouts)
     print(f"{label:<14} {len(layouts):>8} {best:>10} {chromatic_oracle(g):>10}")
 

@@ -18,7 +18,6 @@ from .coloring import (
     chromatic_oracle,
     enumerate_mcivs,
     max_degree,
-    mcivs_lower_bound,
     verify_coloring,
 )
 from .core import (
@@ -112,7 +111,6 @@ __all__ = [
     "is_trail",
     "load_graph",
     "max_degree",
-    "mcivs_lower_bound",
     "medium_vertices",
     "minimal_power",
     "obots_search",

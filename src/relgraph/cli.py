@@ -299,10 +299,12 @@ def _cmd_color(args) -> int:
 
 def _cmd_chromatic(args) -> int:
     g = _load(args)
-    layouts = enumerate_mcivs(g, force=args.force)
-    by_classes = collections.Counter(len(layout.classes) for layout in layouts)
+    by_classes: collections.Counter[int] = collections.Counter()
+    bound = g.n  # no layout has more parts than vertices
+    for layout in enumerate_mcivs(g, force=args.force):
+        by_classes[len(layout.classes)] += 1
+        bound = min(bound, layout.bound)
     rows = [{"classes": k, "layouts": by_classes[k]} for k in sorted(by_classes)]
-    bound = min(layout.bound for layout in layouts)
     chromatic = chromatic_oracle(g, force=args.force)
     params = {"file": args.file, "bound": bound, "chromatic": chromatic}
     _emit(args, params, ["classes", "layouts"], rows)
@@ -324,7 +326,10 @@ def _arc_sequence(text: str) -> sequences.ArcSequence:
             pairs.append((int(a), int(b)))
         except ValueError:
             raise ArgumentTypeError(f"bad arc token {token!r}, expected like 1-2") from None
-    return sequences.ArcSequence.of(*pairs)
+    try:
+        return sequences.ArcSequence.of(*pairs)
+    except DomainError as exc:  # a ValueError, which argparse would report without its message
+        raise ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_sequences(args) -> int:

@@ -15,18 +15,20 @@ worst-case palette size bounded by max degree + 1:
   draws uniformly from the palette minus its records, extending the palette
   only when that difference is empty.
 
-The exact side enumerates every split of the vertex set into independent
-classes of size >= 2 plus a clique remainder; the smallest class-plus-
-remainder count over the family equals the chromatic number, which a
-desk-scale brute-force oracle confirms independently.  Both are capped at
-``EXACT_CAP`` vertices; ``force=True`` lifts the cap of either.
+The exact side yields every split of the vertex set into independent
+classes of size >= 2 plus a clique remainder, one at a time; the smallest
+class-plus-remainder count over the family equals the chromatic number,
+which a backtracking oracle confirms independently.  Both are capped at
+``EXACT_CAP`` vertices, a cap ``force=True`` lifts, and at half the
+recursion limit, which it does not: both recurse once per vertex.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import MultiTraversalRelation, VertexId, is_connected
 from .errors import DomainError, SizeLimitError
@@ -175,63 +177,56 @@ def boerc(g: MultiTraversalRelation, seed: int) -> Coloring:
 
 
 def _check_exact_cap(g: MultiTraversalRelation, force: bool, what: str) -> None:
+    depth_cap = sys.getrecursionlimit() // 2  # one frame per vertex; half is left to the callers
+    if g.n > depth_cap:
+        raise DomainError(f"{what} recurses once per vertex, so n <= {depth_cap} (half the recursion "
+                          f"limit), instance has {g.n}; --force cannot lift this")
     if g.n > EXACT_CAP and not force:
         raise SizeLimitError(
             f"{what} is capped at n <= {EXACT_CAP}, instance has {g.n}; pass --force to insist"
         )
 
 
-def enumerate_mcivs(g: MultiTraversalRelation, *, force: bool = False) -> tuple[IntervalPartition, ...]:
-    """Every split of the vertices into independent size->=2 classes plus a clique.
+def enumerate_mcivs(g: MultiTraversalRelation, *, force: bool = False) -> Iterator[IntervalPartition]:
+    """Walk every split of the vertices into independent size->=2 classes plus a clique.
 
     The remainder set must induce a complete subgraph (each of its vertices
-    individually coloured in the matching colouring).  Each split is produced
-    once, classes canonicalised by their smallest member.  The minimum of
-    ``bound`` over the family equals the chromatic number: an optimal
-    colouring's size->=2 classes and (pairwise adjacent) singletons form a
-    member of the family, and every member yields a proper colouring of its
-    own size.  Instances above ``EXACT_CAP`` vertices are refused unless
-    ``force`` is set.
+    individually coloured in the matching colouring).  Each split is yielded
+    once, classes canonicalised by their smallest member, so callers reduce
+    the walk in one pass.  The minimum of ``bound`` over the family equals
+    the chromatic number: an optimal colouring's size->=2 classes and
+    (pairwise adjacent) singletons form a member of the family, and every
+    member yields a proper colouring of its own size.  Instances above
+    ``EXACT_CAP`` vertices are refused at the call unless ``force`` is set.
     """
     _check_exact_cap(g, force, "exact enumeration")
     adjacency = g.neighbours
     verts = sorted(g.vertices)
-    results: list[IntervalPartition] = []
     classes: list[set[VertexId]] = []
     remainder: set[VertexId] = set()
 
-    def snapshot() -> IntervalPartition:
-        # only the vertex being placed opens a class, and vertices are placed in
-        # ascending order, so the classes are already ordered by their minima
-        return IntervalPartition(classes=tuple(frozenset(c) for c in classes), remainder=frozenset(remainder))
-
-    def extend(i: int) -> None:
+    def extend(i: int) -> Iterator[IntervalPartition]:
         if i == len(verts):
             if all(len(c) >= 2 for c in classes):
-                results.append(snapshot())
+                # classes open in ascending vertex order, so they are already ordered by their minima
+                yield IntervalPartition(tuple(frozenset(c) for c in classes), frozenset(remainder))
             return
         v = verts[i]
         nbrs = adjacency[v]
         for c in classes:
             if not (nbrs & c):
                 c.add(v)
-                extend(i + 1)
+                yield from extend(i + 1)
                 c.remove(v)
         classes.append({v})
-        extend(i + 1)
+        yield from extend(i + 1)
         classes.pop()
         if remainder <= nbrs:
             remainder.add(v)
-            extend(i + 1)
+            yield from extend(i + 1)
             remainder.remove(v)
 
-    extend(0)
-    return tuple(results)
-
-
-def mcivs_lower_bound(g: MultiTraversalRelation) -> int:
-    """Minimum class-plus-remainder count over :func:`enumerate_mcivs`."""
-    return min(layout.bound for layout in enumerate_mcivs(g))
+    return extend(0)
 
 
 def chromatic_oracle(g: MultiTraversalRelation, *, force: bool = False) -> int:
@@ -264,10 +259,7 @@ def chromatic_oracle(g: MultiTraversalRelation, *, force: bool = False) -> int:
 
         return place(0, 0)
 
-    for k in range(1, n + 1):
-        if colourable(k):
-            return k
-    return n
+    return next(k for k in range(1, n + 1) if colourable(k))  # k = n always succeeds
 
 
 def check_vbar_proposition(g: MultiTraversalRelation) -> tuple[bool | None, IntervalPartition | None]:
@@ -284,7 +276,5 @@ def check_vbar_proposition(g: MultiTraversalRelation) -> tuple[bool | None, Inte
     m = degrees.pop()
     if not 2 <= m < g.n - 1:
         return None, None
-    for layout in enumerate_mcivs(g):
-        if len(layout.remainder) <= 1:
-            return True, layout
-    return False, None
+    witness = next((layout for layout in enumerate_mcivs(g) if len(layout.remainder) <= 1), None)
+    return witness is not None, witness

@@ -1,12 +1,12 @@
 """Trail, path and cycle algebra over ordered arc sequences.
 
-An arc sequence is classified rather than validated at construction: a trail
-chains head to tail with no self-loops and at least two arcs; a path is a
-trail (or a single arc) whose interior vertices are pairwise distinct and
-whose only permitted repetition is first tail equalling last head; a cycle
-is a closed path of length at least two.  Cycle permutation swaps a length-m
-prefix with the remaining suffix; M applications rotate the sequence, and the
-least M returning to the identity is N / gcd(N, m).
+An arc sequence refuses vertex ids below 1 and is otherwise classified, not
+validated: a trail chains head to tail with no self-loops and at least two
+arcs; a path is a trail (or a single arc) whose interior vertices are pairwise
+distinct and whose only permitted repetition is first tail equalling last
+head; a cycle is a closed path of length at least two.  Cycle permutation
+swaps a length-m prefix with the remaining suffix; M applications rotate the
+sequence, and the least M returning to the identity is N / gcd(N, m).
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from .errors import DomainError
 @dataclass(frozen=True)
 class ArcSequence:
     arcs: tuple[Arc, ...]
+
+    def __post_init__(self) -> None:
+        for tail, head in self.arcs:
+            if min(tail, head) < 1:
+                raise DomainError(f"vertex ids must be positive, got arc ({tail}, {head})")
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> "ArcSequence":

@@ -29,7 +29,6 @@ from relgraph import (
     gen_dodecahedron,
     gen_grid,
     max_degree,
-    mcivs_lower_bound,
     minimal_power,
     obots_search,
     partition,
@@ -219,7 +218,7 @@ def test_criterion_10_chromatic_lower_bound():
     corpus += [gen_complete(4), gen_complete(5), gen_grid(2, 3), gen_grid(3, 3), petersen()]
     for g in corpus:
         assert g.n <= 10
-        assert mcivs_lower_bound(g) == chromatic_oracle(g)
+        assert min(p.bound for p in enumerate_mcivs(g)) == chromatic_oracle(g)
     five = [p for p in enumerate_mcivs(gen_cycle(5)) if p.bound == 3]
     assert five and all(len(p.remainder) == 1 for p in five)
     six = [p for p in enumerate_mcivs(gen_cycle(6)) if p.bound == 2]

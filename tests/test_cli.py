@@ -261,6 +261,15 @@ class TestColorCmd:
         params = json.loads(out)["params"]
         assert (params["bound"], params["chromatic"]) == (13, 13)
 
+    def test_depth_limit_refuses_even_with_force(self, capsys, tmp_path):
+        # a 1100-vertex path would overflow the recursion: a refusal, not a traceback
+        path = tmp_path / "p1100.txt"
+        cli.main(["gen", "path", "1100", "-o", str(path)])
+        code, out, err = run(capsys, "chromatic", str(path), "--force")
+        assert code == 2
+        assert out == ""
+        assert "recurses once per vertex" in err and "--force cannot lift this" in err
+
     def test_trials_arc_cap_refuses_before_running(self, capsys, c5_file):
         # C5 has 10 arcs, so 100,001 trials pass the 1,000,000 cap by 10
         code, out, err = run(capsys, "color", c5_file, "--trials", "100001")
@@ -305,6 +314,10 @@ class TestSequencesCmd:
         assert run(capsys, "minpower", "6")[0] == 1
         assert run(capsys, "sequences", "cycle")[0] == 1
         assert run(capsys, "sequences", "cycle", "--arcs", "nope")[0] == 1
+        # an id below 1 is the library's refusal, reported as a bad --arcs value
+        code, out, err = run(capsys, "sequences", "path", "--arcs", "0-1")
+        assert (code, out) == (1, "")
+        assert err == "usage error: argument --arcs: vertex ids must be positive, got arc (0, 1)\n"
 
 
 class TestClassifyCmd:

@@ -8,8 +8,9 @@ there are read back under the same relative names.
 
 The argvs are every ``relgraph`` line of the README's command block, the
 JSON reports of ``euler``, ``invariant`` and ``traverse`` on the
-dodecahedron and ``cycleseq 7 3``, and one refusal for each of exit 1
-(usage) and exit 2 (domain or size).  No argv reaches exit 3, which takes a
+dodecahedron and ``cycleseq 7 3``, ``chromatic`` on the 9-cycle as TSV and
+JSON (a three-row layout table), and one refusal for each of exit 1 (usage)
+and exit 2 (domain or size).  No argv reaches exit 3, which takes a
 broken internal invariant.
 
 Run ``python tests/test_cli_transcript.py`` to rewrite the file after a
@@ -38,6 +39,9 @@ EXTRA = [
     "relgraph traverse d.txt --start 1 --json",
     "relgraph gen cycleseq 7 3 -o c73.txt",
     "relgraph traverse c73.txt --start 1 --json",
+    "relgraph gen cycle 9 -o c9.txt",
+    "relgraph chromatic c9.txt",  # the one golden layout table with more than one row
+    "relgraph chromatic c9.txt --json",
     "relgraph bocps 4 6 --seed 5",  # exit 1: bocps reads no --seed
     "relgraph bocps 0 6",  # exit 2: domain refusal
     "relgraph gen complete 1001 -o f",  # exit 2: 1,001,000 arcs pass the cap

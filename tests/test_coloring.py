@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
 
@@ -20,8 +21,8 @@ from relgraph import (
     gen_cycle,
     gen_dodecahedron,
     gen_grid,
+    gen_path,
     max_degree,
-    mcivs_lower_bound,
     random_relabel,
     verify_coloring,
 )
@@ -137,18 +138,30 @@ class TestHeuristics:
 
 
 class TestExact:
+    def test_walk_yields_layouts_lazily_in_order(self):
+        # the walk order decides check_vbar_proposition's witness and demo 06
+        walk = enumerate_mcivs(gen_cycle(5))
+        assert iter(walk) is walk
+        assert [(p.classes, p.remainder) for p in walk] == [
+            ((frozenset({1, 3}), frozenset({2, 4})), frozenset({5})),
+            ((frozenset({1, 3}), frozenset({2, 5})), frozenset({4})),
+            ((frozenset({1, 4}), frozenset({2, 5})), frozenset({3})),
+            ((frozenset({1, 4}), frozenset({3, 5})), frozenset({2})),
+            ((frozenset({2, 4}), frozenset({3, 5})), frozenset({1})),
+        ]
+
     def test_four_cycle_contains_bipartition(self):
-        layouts = enumerate_mcivs(gen_cycle(4))
+        layouts = tuple(enumerate_mcivs(gen_cycle(4)))
         best = [p for p in layouts if p.bound == 2]
         assert best
         assert any(
             set(p.classes) == {frozenset({1, 3}), frozenset({2, 4})} and not p.remainder
             for p in best
         )
-        assert mcivs_lower_bound(gen_cycle(4)) == 2
+        assert min(p.bound for p in enumerate_mcivs(gen_cycle(4))) == 2
 
     def test_odd_cycle_needs_a_leftover(self):
-        layouts = enumerate_mcivs(gen_cycle(5))
+        layouts = tuple(enumerate_mcivs(gen_cycle(5)))
         best = [p for p in layouts if p.bound == 3]
         assert best and all(len(p.remainder) == 1 and len(p.classes) == 2 for p in best)
 
@@ -157,13 +170,13 @@ class TestExact:
         assert best and all(not p.remainder for p in best)
 
     def test_clique_only_degenerate_layout(self):
-        layouts = enumerate_mcivs(gen_complete(4))
+        layouts = tuple(enumerate_mcivs(gen_complete(4)))
         assert len(layouts) == 1
         assert layouts[0].classes == ()
         assert layouts[0].remainder == {1, 2, 3, 4}
 
     def test_no_duplicate_layouts(self):
-        layouts = enumerate_mcivs(gen_cycle(6))
+        layouts = tuple(enumerate_mcivs(gen_cycle(6)))
         canon = {(p.classes, p.remainder) for p in layouts}
         assert len(canon) == len(layouts)
         for p in layouts:
@@ -181,6 +194,18 @@ class TestExact:
         (layout,) = enumerate_mcivs(gen_complete(13), force=True)
         assert layout.bound == 13
         assert chromatic_oracle(gen_complete(13), force=True) == 13
+
+    def test_depth_limit_outranks_force(self):
+        # both routes recurse once per vertex: past half the recursion limit they
+        # refuse, whatever force says, instead of dying with RecursionError
+        g = gen_path(1100)
+        for route in (enumerate_mcivs, chromatic_oracle):
+            with pytest.raises(DomainError, match="recurses once per vertex.*instance has 1100") as refusal:
+                route(g, force=True)
+            assert type(refusal.value) is DomainError  # not a size cap that --force lifts
+        n = sys.getrecursionlimit() // 2
+        assert next(enumerate_mcivs(gen_path(n), force=True)).bound == 2
+        assert chromatic_oracle(gen_path(n), force=True) == 2
 
     @pytest.mark.parametrize("make, expect", [
         (lambda: gen_cycle(5), 3),
@@ -200,7 +225,7 @@ class TestExact:
         corpus = [gen_cycle(n) for n in range(4, 9)] + [gen_complete(4), gen_grid(2, 3)]
         corpus += [random_connected_symmetric(rnd, max_n=8) for _ in range(6)]
         for g in corpus:
-            assert mcivs_lower_bound(g) == chromatic_oracle(g)
+            assert min(p.bound for p in enumerate_mcivs(g)) == chromatic_oracle(g)
 
 
 class TestProposition:
@@ -209,6 +234,10 @@ class TestProposition:
         assert holds5 is True and len(witness5.remainder) == 1
         holds6, witness6 = check_vbar_proposition(gen_cycle(6))
         assert holds6 is True and len(witness6.remainder) == 0
+        # n at the cap: the walk stops at the first witness, the bipartition
+        holds12, witness12 = check_vbar_proposition(gen_cycle(12))
+        assert holds12 is True and not witness12.remainder
+        assert witness12.classes == (frozenset(range(1, 13, 2)), frozenset(range(2, 13, 2)))
 
     def test_inapplicable_shapes(self):
         assert check_vbar_proposition(gen_complete(4)) == (None, None)  # m = n - 1

@@ -60,6 +60,16 @@ class TestValidators:
         with pytest.raises(DomainError):
             medium_vertices(ArcSequence.of((1, 2), (3, 4)))
 
+    @pytest.mark.parametrize("build", [
+        lambda: ArcSequence.of((0, 1)),
+        lambda: ArcSequence.of((1, 2), (2, -1)),
+        lambda: path_to_sequence((0, -3)),
+        lambda: path_to_sequence((2, 1, 0), close=True),
+    ], ids=["of-zero-tail", "of-negative-head", "walk", "closed-walk"])
+    def test_ids_below_one_refused(self, build):
+        with pytest.raises(DomainError, match="vertex ids must be positive"):
+            build()
+
 
 class TestCyclePermute:
     def test_definitional_rotation(self):
