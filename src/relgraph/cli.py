@@ -310,6 +310,8 @@ def _cmd_chromatic(args) -> int:
     _emit(args, params, ["classes", "layouts"], rows)
     if not args.json:
         print(f"bound\t{bound}\nchromatic\t{chromatic}")
+    if bound != chromatic:
+        raise InvariantViolation(f"layout bound {bound} disagrees with chromatic number {chromatic}")
     return 0
 
 

@@ -6,10 +6,10 @@ the exact side all read it.  Two randomized heuristics colour it, both with
 worst-case palette size bounded by max degree + 1:
 
 * ``bogpc`` grows one colour class at a time: layer the uncoloured subgraph
-  from the class, scan the third region (and any unreached vertices) in
-  seeded-random order, and admit every vertex with no edge into the growing
-  class; repeat until a pass admits nothing, so every emitted class is a
-  maximal independent set of what remained.
+  from the class with core's ``layer_adjacency``, scan the third region (and
+  any unreached vertices) in seeded-random order, and admit every vertex
+  with no edge into the growing class; repeat until a pass admits nothing,
+  so every emitted class is a maximal independent set of what remained.
 * ``boerc`` colours a seeded-random root order; each coloured vertex
   records its colour on every neighbour not yet coloured, and a vertex
   draws uniformly from the palette minus its records, extending the palette
@@ -30,9 +30,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import MultiTraversalRelation, VertexId, is_connected
+from .core import MultiTraversalRelation, VertexId, is_connected, layer_adjacency
 from .errors import DomainError, SizeLimitError
-from .partition import layer_adjacency
 
 
 # Exact colouring is desk scale: the layout count grows about 6x per vertex,
@@ -155,15 +154,12 @@ def boerc(g: MultiTraversalRelation, seed: int) -> Coloring:
     assignment: dict[VertexId, int] = {}
     for x in order:
         forbidden = recorded[x]
-        if not forbidden:
-            colour = rng.choice(palette)
+        free = [c for c in palette if c not in forbidden]
+        if free:
+            colour = rng.choice(free)
         else:
-            free = [c for c in palette if c not in forbidden]
-            if not free:
-                colour = len(palette) + 1
-                palette.append(colour)
-            else:
-                colour = rng.choice(free)
+            colour = len(palette) + 1
+            palette.append(colour)
         assignment[x] = colour
         for v in neighbours[x]:
             if v not in assignment:

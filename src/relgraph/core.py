@@ -9,6 +9,10 @@ over vertex indices); connectivity and colouring read ``neighbours`` (the
 symmetric, loop-free adjacency).  The arcs into a vertex (the paper's
 multiple visiting sets) are read straight from ``arcs`` where needed.
 
+Each graph rule is stated once: ``_checked_arc`` for relations, files and arc
+sequences, and ``layer_adjacency``, the one walk, for partition, connectivity
+and colouring.
+
 Vertex ids are positive integers.  Isolated vertices cannot be represented:
 the vertex set of an instance is exactly the set of arc endpoints.
 """
@@ -21,7 +25,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError, ParseError
 
@@ -36,6 +40,31 @@ class Arc(NamedTuple):
 
     tail: VertexId
     head: VertexId
+
+
+def _checked_arc(entry: tuple) -> tuple[VertexId, VertexId, int]:
+    """The one arc check: ``(tail, head[, weight])`` as ``(tail, head, weight)``, weight 1 if omitted.
+
+    Refuses with :class:`DomainError` an entry of another length, a bool, a
+    value ``operator.index`` refuses, and any id or weight below 1.
+    """
+    try:
+        if len(entry) == 2:
+            (tail, head), weight = entry, 1
+        elif len(entry) == 3:
+            tail, head, weight = entry
+        else:
+            raise DomainError(f"an arc is (tail, head) or (tail, head, weight), got {entry!r}")
+        if tail is True or head is True or weight is True:  # operator.index reads True as 1
+            raise TypeError
+        tail, head, weight = operator.index(tail), operator.index(head), operator.index(weight)
+    except TypeError:
+        raise DomainError(f"vertex ids and multiplicities must be integers, got {entry!r}") from None
+    if tail < 1 or head < 1:
+        raise DomainError(f"vertex ids must be positive, got arc ({tail}, {head})")
+    if weight < 1:
+        raise DomainError(f"arc multiplicities must be positive, got {weight} on ({tail}, {head})")
+    return tail, head, weight
 
 
 @dataclass(frozen=True, eq=True)
@@ -55,35 +84,17 @@ class MultiTraversalRelation:
         """Build a relation from ``(tail, head)`` or ``(tail, head, weight)`` triples.
 
         Repeated (tail, head) entries have their weights summed, matching the
-        multiset reading of a literal arc enumeration.  An entry of another
-        length, or an id or weight that is not an integer (a bool, or one
-        ``operator.index`` refuses), raises :class:`DomainError`.
+        multiset reading of a literal arc enumeration.  Each entry passes
+        :func:`_checked_arc` as it is read.
         """
         table: dict[Arc, int] = {}
-        try:
-            for entry in arcs:
-                if len(entry) not in (2, 3):
-                    raise DomainError(f"an arc is (tail, head) or (tail, head, weight), got {entry!r}")
-                tail, head, weight = entry if len(entry) == 3 else (*entry, 1)  # type: ignore[misc]
-                if tail < 1 or head < 1:
-                    raise DomainError(f"vertex ids must be positive, got arc ({tail}, {head})")
-                if weight < 1:
-                    raise DomainError(f"arc multiplicities must be positive, got {weight} on ({tail}, {head})")
-                # False fails the checks above; True would merge with 1 or be written as "True"
-                if tail is True or head is True or weight is True:
-                    raise DomainError(f"vertex ids and multiplicities must be integers, got {entry!r}")
-                arc = Arc(tail, head)
-                table[arc] = table.get(arc, 0) + weight
-            verts = frozenset(v for arc in table for v in arc)
-            # floats and the like pass the comparisons above; check once over
-            # the summed table rather than once per entry
-            for value in (*verts, *table.values()):
-                operator.index(value)
-        except TypeError:
-            raise DomainError("vertex ids and multiplicities must be integers") from None
+        for entry in arcs:
+            tail, head, weight = _checked_arc(entry)
+            arc = Arc(tail, head)
+            table[arc] = table.get(arc, 0) + weight
         if not table:
             raise DomainError("a relation needs at least one arc")
-        return cls(arcs=table, vertices=verts)
+        return cls(arcs=table, vertices=frozenset(v for arc in table for v in arc))
 
     @property
     def n(self) -> int:
@@ -137,32 +148,36 @@ def parse_graph(text: str, *, undirected: bool = False) -> MultiTraversalRelatio
     positive integers ``tail head [weight]`` (weight defaults to 1); ``#``
     starts a comment running to end of line; duplicate (tail, head) lines
     sum.  With ``undirected`` every arc is mirrored (reverse arc with equal
-    weight added) before summing.
+    weight added) before summing.  A value ``from_arcs`` refuses is reported
+    with its line.
     """
-    entries: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) not in (2, 3):
-            raise ParseError(f"expected 2 or 3 integer fields, got {len(tokens)}", lineno)
-        try:
-            values = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ParseError(f"non-integer field in {tokens!r}", lineno) from None
-        tail, head = values[0], values[1]
-        weight = values[2] if len(values) == 3 else 1
-        if tail < 1 or head < 1:
-            raise DomainError(f"line {lineno}: vertex ids must be positive")
-        if weight < 1:
-            raise DomainError(f"line {lineno}: weights must be positive")
-        entries.append((tail, head, weight))
-        if undirected:
-            entries.append((head, tail, weight))
-    if not entries:
-        raise DomainError("empty graph file")
-    return MultiTraversalRelation.from_arcs(entries)
+    lineno = 0
+
+    def entries() -> Iterator[list[int]]:
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if len(tokens) not in (2, 3):
+                raise ParseError(f"expected 2 or 3 integer fields, got {len(tokens)}", lineno)
+            try:
+                values = [int(tok) for tok in tokens]
+            except ValueError:
+                raise ParseError(f"non-integer field in {tokens!r}", lineno) from None
+            yield values
+            if undirected:
+                yield [values[1], values[0], *values[2:]]
+        lineno = 0  # read to the end: no line to blame
+
+    try:
+        return MultiTraversalRelation.from_arcs(entries())
+    except DomainError as exc:
+        if not lineno:
+            raise DomainError("empty graph file") from None
+        # from_arcs checks each entry as the generator yields it, so lineno is still its line
+        raise DomainError(f"line {lineno}: {exc}") from None
 
 
 def serialize_graph(g: MultiTraversalRelation) -> str:
@@ -210,19 +225,30 @@ def classify(g: MultiTraversalRelation) -> GraphClass:
     return GraphClass.SIMPLE
 
 
+def layer_adjacency(
+    adjacency: Mapping[int, Iterable[int]],
+    universe: frozenset[int] | set[int],
+    seeds: set[int],
+) -> tuple[list[set[int]], set[int]]:
+    """The one graph walk: breadth-first layers from ``seeds`` within ``universe``.
+
+    Region one is the seed set; each next region holds the universe vertices
+    first reached by one step of ``adjacency``.  Returns the regions and the
+    universe vertices never reached.
+    """
+    regions = [set(seeds)]
+    assigned = set(seeds)
+    while nxt := {w for v in regions[-1] for w in adjacency.get(v, ())
+                  if w in universe and w not in assigned}:
+        assigned |= nxt
+        regions.append(nxt)
+    return regions, set(universe) - assigned
+
+
 def is_connected(g: MultiTraversalRelation) -> bool:
-    """True when the instance is one piece, ignoring arc direction."""
-    neighbours = g.neighbours
-    start = next(iter(g.vertices))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in neighbours[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen == g.vertices
+    """True when the instance is one piece: a layering over ``neighbours`` strands no vertex."""
+    _, stranded = layer_adjacency(g.neighbours, g.vertices, {next(iter(g.vertices))})
+    return not stranded
 
 
 def relabel(g: MultiTraversalRelation, mapping: Mapping[VertexId, VertexId]) -> MultiTraversalRelation:

@@ -4,16 +4,18 @@ The seed set is region one; each following region holds exactly the vertices
 first reached by one arc from the region before it.  On symmetric instances
 with a single seed the region index is the unweighted shortest-path distance
 plus one.  Directed instances may leave vertices unreachable; those are
-reported in a separate stranded set instead of failing the partition.
+reported in a separate stranded set instead of failing the partition.  The
+walk itself is core's ``layer_adjacency``, which connectivity and the
+colouring growth loop share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .core import MultiTraversalRelation, VertexId
+from .core import MultiTraversalRelation, VertexId, layer_adjacency
 from .errors import DomainError
 
 
@@ -38,33 +40,6 @@ class RegionSequence:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(region) for region in self.regions)
-
-
-def layer_adjacency(
-    adjacency: Mapping[int, Iterable[int]],
-    universe: frozenset[int] | set[int],
-    seeds: set[int],
-) -> tuple[list[set[int]], set[int]]:
-    """Frontier expansion shared by :func:`partition` and the coloring growth loop.
-
-    Expands within ``universe`` only; returns the region list and the set of
-    universe vertices never reached.
-    """
-    assigned = set(seeds)
-    regions = [set(seeds)]
-    frontier = set(seeds)
-    while frontier:
-        nxt = set()
-        for v in frontier:
-            for w in adjacency.get(v, ()):
-                if w in universe and w not in assigned:
-                    nxt.add(w)
-        if not nxt:
-            break
-        assigned |= nxt
-        regions.append(nxt)
-        frontier = nxt
-    return regions, set(universe) - assigned
 
 
 def partition(g: MultiTraversalRelation, seeds: Iterable[VertexId]) -> RegionSequence:

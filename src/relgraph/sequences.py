@@ -1,11 +1,12 @@
 """Trail, path and cycle algebra over ordered arc sequences.
 
-An arc sequence refuses vertex ids below 1 and is otherwise classified, not
-validated: a trail chains head to tail with no self-loops and at least two
-arcs; a path is a trail (or a single arc) whose interior vertices are pairwise
-distinct and whose only permitted repetition is first tail equalling last
-head; a cycle is a closed path of length at least two.  Cycle permutation
-swaps a length-m prefix with the remaining suffix; M applications rotate the
+An arc sequence refuses what core refuses in an arc (an id that is not an
+integer, or is below 1) and is otherwise classified, not validated: a trail
+chains head to tail with no self-loops and at least two arcs; a path is a
+trail (or a single arc) whose interior vertices are pairwise distinct and
+whose only permitted repetition is first tail equalling last head; a cycle
+is a closed path of length at least two.  Cycle permutation swaps a
+length-m prefix with the remaining suffix; M applications rotate the
 sequence, and the least M returning to the identity is N / gcd(N, m).
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Arc
+from .core import Arc, _checked_arc
 from .errors import DomainError
 
 
@@ -23,9 +24,8 @@ class ArcSequence:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
-        for tail, head in self.arcs:
-            if min(tail, head) < 1:
-                raise DomainError(f"vertex ids must be positive, got arc ({tail}, {head})")
+        for arc in self.arcs:
+            _checked_arc(arc)
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> "ArcSequence":
@@ -123,23 +123,16 @@ def minimal_power(n: int, m: int) -> int:
 
 
 def chains_of(s: ArcSequence) -> tuple[ArcSequence, ...]:
-    """All distinct rotations of a cycle with their final arc dropped.
+    """Every rotation of a cycle with its final arc dropped.
 
     Every chain spans the cycle's full vertex set; a cycle of length N yields
-    at most N distinct chains (exactly N when the vertices are distinct).
+    exactly N chains, all distinct, since a cycle's tails are distinct and so
+    each rotation's chain starts with a different arc.
     """
     if not is_cycle(s):
         raise DomainError("chains are defined on cycles only")
-    n = len(s)
-    seen: set[tuple[Arc, ...]] = set()
-    out: list[ArcSequence] = []
-    for r in range(n):
-        rotated = s.arcs[r:] + s.arcs[:r]
-        chain = rotated[:-1]
-        if chain not in seen:
-            seen.add(chain)
-            out.append(ArcSequence(chain))
-    return tuple(out)
+    arcs = s.arcs
+    return tuple(ArcSequence((arcs[r:] + arcs[:r])[:-1]) for r in range(len(arcs)))
 
 
 def path_to_sequence(vertices: tuple[int, ...], close: bool = False) -> ArcSequence:

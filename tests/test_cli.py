@@ -234,6 +234,12 @@ class TestColorCmd:
         # the TSV ends with the same two numbers
         assert run(capsys, "chromatic", c5_file)[1] == "classes\tlayouts\n2\t5\nbound\t3\nchromatic\t3\n"
 
+    def test_bound_oracle_disagreement_exit_code(self, capsys, c5_file, monkeypatch):
+        monkeypatch.setattr(cli, "chromatic_oracle", lambda g, force: 2)
+        code, _, err = run(capsys, "chromatic", c5_file)
+        assert code == 3
+        assert "invariant" in err and "bound 3" in err
+
     def test_exact_size_refusal(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         cli.main(["gen", "cycleseq", "9", "3", "-o", str(path)])

@@ -90,10 +90,13 @@ class TestParse:
             parse_graph("1 2 0\n")
         with pytest.raises(DomainError):
             parse_graph("# nothing\n")
+        with pytest.raises(DomainError, match="line 2"):
+            parse_graph("1 2\n0 2\n")
         # from_arcs refuses what parse_graph could not read back
         for arcs in (
             [(1, 2, 1.5), (2, 1)], [(1.5, 2), (2, 1.5)], [(1, 2, 1.0)], [("1", 2)], [(1, 2, None)],
             [(True, 2), (2, True)], [(1, 2), (True, 2)], [(1, 2, True)],
+            [(2, 1), (1.0, 2)], [(1, 2), (2.0, 1)],
         ):
             with pytest.raises(DomainError, match="integers"):
                 MultiTraversalRelation.from_arcs(arcs)
@@ -274,3 +277,28 @@ class TestPublicApi:
         assert len(relgraph.__all__) == len(set(relgraph.__all__))
         for name in relgraph.__all__:
             assert getattr(relgraph, name) is not None, name
+
+    def test_algorithm_modules_import_only_core_and_errors(self):
+        import ast
+        import pathlib
+
+        import relgraph
+
+        allowed = {"relgraph.core", "relgraph.errors"}
+        for path in sorted(pathlib.Path(relgraph.__file__).parent.glob("*.py")):
+            if path.name in ("cli.py", "__init__.py"):
+                continue
+            imported = []
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported += [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    module = "relgraph" if node.level else node.module
+                    if node.level and node.module:
+                        module += "." + node.module
+                    if module == "relgraph":  # `from . import x` names modules
+                        imported += [f"relgraph.{alias.name}" for alias in node.names]
+                    else:
+                        imported.append(module)
+            package = {name for name in imported if name.split(".")[0] == "relgraph"}
+            assert package <= allowed, (path.name, sorted(package - allowed))

@@ -60,14 +60,17 @@ class TestValidators:
         with pytest.raises(DomainError):
             medium_vertices(ArcSequence.of((1, 2), (3, 4)))
 
-    @pytest.mark.parametrize("build", [
-        lambda: ArcSequence.of((0, 1)),
-        lambda: ArcSequence.of((1, 2), (2, -1)),
-        lambda: path_to_sequence((0, -3)),
-        lambda: path_to_sequence((2, 1, 0), close=True),
-    ], ids=["of-zero-tail", "of-negative-head", "walk", "closed-walk"])
-    def test_ids_below_one_refused(self, build):
-        with pytest.raises(DomainError, match="vertex ids must be positive"):
+    @pytest.mark.parametrize("build, match", [
+        (lambda: ArcSequence.of((0, 1)), "vertex ids must be positive"),
+        (lambda: ArcSequence.of((1, 2), (2, -1)), "vertex ids must be positive"),
+        (lambda: path_to_sequence((0, -3)), "vertex ids must be positive"),
+        (lambda: path_to_sequence((2, 1, 0), close=True), "vertex ids must be positive"),
+        # the check from_arcs applies: a bool or a float is no vertex id
+        (lambda: ArcSequence.of((True, 2), (2, True)), "integers"),
+        (lambda: ArcSequence.of((1.5, 2)), "integers"),
+    ], ids=["of-zero-tail", "of-negative-head", "walk", "closed-walk", "of-bool", "of-float"])
+    def test_ids_below_one_refused(self, build, match):
+        with pytest.raises(DomainError, match=match):
             build()
 
 
