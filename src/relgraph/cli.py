@@ -241,7 +241,7 @@ def _cmd_invariant(args) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return core._plain_ints(text.replace(",", " "))
     except ValueError:
         raise ArgumentTypeError(f"expected integers like 1,16, got {text!r}") from None
 
@@ -324,8 +324,8 @@ def _arc_sequence(text: str) -> sequences.ArcSequence:
     pairs = []
     for token in text.replace(",", " ").split():
         try:
-            a, b = token.split("-")
-            pairs.append((int(a), int(b)))
+            a, b = core._plain_ints(token, "-")
+            pairs.append((a, b))
         except ValueError:
             raise ArgumentTypeError(f"bad arc token {token!r}, expected like 1-2") from None
     try:

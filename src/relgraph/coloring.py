@@ -6,10 +6,13 @@ the exact side all read it.  Two randomized heuristics colour it, both with
 worst-case palette size bounded by max degree + 1:
 
 * ``bogpc`` grows one colour class at a time: layer the uncoloured subgraph
-  from the class with core's ``layer_adjacency``, scan the third region (and
-  any unreached vertices) in seeded-random order, and admit every vertex
-  with no edge into the growing class; repeat until a pass admits nothing,
-  so every emitted class is a maximal independent set of what remained.
+  from the class seed with core's ``layer_adjacency``, once per class, and
+  keep its distance-1 and distance-2 rings.  Each pass scans the distance-2
+  ring (and, on the first pass, any unreached vertices) in seeded-random
+  order and admits every vertex with no edge into the growing class; the
+  rings are then updated around the admitted vertices alone.  Passes repeat
+  until one admits nothing, so every emitted class is a maximal independent
+  set of what remained.
 * ``boerc`` colours a seeded-random root order; each coloured vertex
   records its colour on every neighbour not yet coloured, and a vertex
   draws uniformly from the palette minus its records, extending the palette
@@ -106,6 +109,21 @@ def bogpc(g: MultiTraversalRelation, seed: int) -> Coloring:
     maximality is what pins the palette under max degree + 1.  The next class
     is seeded with one random uncoloured vertex, preferring vertices whose
     whole neighbourhood is already coloured.
+
+    Each class lays the uncoloured graph out once.  While it grows, the
+    uncoloured set is fixed and the class only gains vertices, so distances
+    to it only fall, and a pass reads just the distance-2 ring and the
+    unreached set.  The first pass admits the first vertex scanned from every
+    unreached component (nothing there touches the class), so nothing stays
+    unreached after it.  After a pass, each admitted vertex leaves the
+    distance-2 ring; each of its uncoloured neighbours outside the class and
+    the distance-1 ring joins that ring and leaves the distance-2 one; and
+    each uncoloured neighbour of such a newcomer that is outside the class
+    and the distance-1 ring joins the distance-2 ring.  The rings then equal
+    regions two and three of a fresh layering from the grown class.  Both
+    candidate lists are sorted before the seeded shuffle, and shuffling an
+    empty list draws nothing, so the output is the one a re-layering after
+    every pass gives.
     """
     _require_connected(g)
     rng = random.Random(seed)
@@ -114,17 +132,25 @@ def bogpc(g: MultiTraversalRelation, seed: int) -> Coloring:
     classes: list[frozenset[VertexId]] = []
     current = {rng.choice(sorted(uncoloured))}
     while True:
+        regions, stranded = layer_adjacency(adjacency, uncoloured, current)
+        near, ring2 = (regions + [set(), set()])[1:3]
         while True:
-            regions, stranded = layer_adjacency(adjacency, uncoloured, current)
-            candidates = _shuffled(regions[2], rng) if len(regions) >= 3 else []
-            candidates += _shuffled(stranded, rng)
-            admitted = False
-            for v in candidates:
+            admitted = []
+            for v in _shuffled(ring2, rng) + _shuffled(stranded, rng):
                 if not (adjacency[v] & current):
                     current.add(v)
-                    admitted = True
+                    admitted.append(v)
             if not admitted:
                 break
+            stranded = set()  # the first vertex scanned from each unreached component was admitted
+            for v in admitted:
+                ring2.discard(v)
+                for w in adjacency[v]:
+                    if w in uncoloured and w not in current and w not in near:
+                        near.add(w)
+                        ring2.discard(w)
+                        ring2.update(x for x in adjacency[w]
+                                     if x in uncoloured and x not in current and x not in near)
         classes.append(frozenset(current))
         uncoloured -= current
         if not uncoloured:

@@ -9,7 +9,8 @@ over vertex indices); connectivity and colouring read ``neighbours`` (the
 symmetric, loop-free adjacency).  The arcs into a vertex (the paper's
 multiple visiting sets) are read straight from ``arcs`` where needed.
 
-Each graph rule is stated once: ``_checked_arc`` for relations, files and arc
+Each graph rule is stated once: ``_plain_ints`` for the integer tokens of
+files and command-line flags, ``_checked_arc`` for relations, files and arc
 sequences, and ``layer_adjacency``, the one walk, for partition, connectivity
 and colouring.
 
@@ -65,6 +66,22 @@ def _checked_arc(entry: tuple) -> tuple[VertexId, VertexId, int]:
     if weight < 1:
         raise DomainError(f"arc multiplicities must be positive, got {weight} on ({tail}, {head})")
     return tail, head, weight
+
+
+def _plain_ints(text: str, sep: str | None = None) -> list[int]:
+    """The one token rule for ids, weights and seeds: each ``sep``-separated token is ASCII digits.
+
+    ``text`` splits on ``sep``, or on runs of whitespace when ``sep`` is None.
+    ``int`` alone also takes a sign, ``_`` separators and non-ASCII digits,
+    so ``1_0`` would read as 10 and an Arabic-Indic one as 1.  Raises
+    ``ValueError`` when a token breaks the rule.
+    """
+    tokens = text.split(sep)
+    if text.isascii():  # isdigit alone also passes non-ASCII digits
+        values = [int(tok) for tok in tokens if tok.isdigit()]
+        if len(values) == len(tokens):
+            return values
+    raise ValueError(f"expected ASCII digits, got {tokens!r}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -145,27 +162,25 @@ def parse_graph(text: str, *, undirected: bool = False) -> MultiTraversalRelatio
     """Parse the arc-list file format.
 
     Each non-blank, non-comment line holds 2 or 3 whitespace-separated
-    positive integers ``tail head [weight]`` (weight defaults to 1); ``#``
-    starts a comment running to end of line; duplicate (tail, head) lines
-    sum.  With ``undirected`` every arc is mirrored (reverse arc with equal
-    weight added) before summing.  A value ``from_arcs`` refuses is reported
-    with its line.
+    positive integers ``tail head [weight]`` in ASCII digits (weight
+    defaults to 1); ``#`` starts a comment running to end of line; duplicate
+    (tail, head) lines sum.  With ``undirected`` every arc is mirrored
+    (reverse arc with equal weight added) before summing.  A value
+    ``from_arcs`` refuses is reported with its line.
     """
     lineno = 0
 
     def entries() -> Iterator[list[int]]:
         nonlocal lineno
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) not in (2, 3):
-                raise ParseError(f"expected 2 or 3 integer fields, got {len(tokens)}", lineno)
             try:
-                values = [int(tok) for tok in tokens]
-            except ValueError:
-                raise ParseError(f"non-integer field in {tokens!r}", lineno) from None
+                values = _plain_ints(raw.partition("#")[0])
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            if not values:
+                continue
+            if len(values) not in (2, 3):
+                raise ParseError(f"expected 2 or 3 integer fields, got {len(values)}", lineno)
             yield values
             if undirected:
                 yield [values[1], values[0], *values[2:]]

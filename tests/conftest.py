@@ -6,8 +6,9 @@ and the chromatic check tries every assignment.  ``bots_search`` is the
 literal table-copying search (BOTS) over the raw ``g.arcs`` table with
 vertex ids, so it shares no cached view with the engine it checks.
 ``minimal_power_bocps`` reaches the permutation power through the ``bocps``
-cursor instead of the gcd.  They are the second route against which the
-algorithms under test are compared.
+cursor instead of the gcd.  ``layered_bogpc`` is the literal class growth
+that lays the uncoloured graph out again after every admission pass.  They
+are the second route against which the algorithms under test are compared.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from collections import deque
 
 import pytest
 
-from relgraph import MultiTraversalRelation, bocps
+from relgraph import Coloring, MultiTraversalRelation, bocps
+from relgraph.core import layer_adjacency
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -190,6 +192,46 @@ def minimal_power_bocps(n: int, m: int) -> int:
     returns to the identity after k1 + k2 steps of their minimal coefficients.
     """
     return 1 if m == n else bocps(m, n - m).loops
+
+
+def layered_bogpc(g: MultiTraversalRelation, seed: int) -> Coloring:
+    """bogpc with one full layering per admission pass; connected instances only.
+
+    Each pass re-layers the uncoloured vertices from the growing class and
+    scans the third region, then the unreached vertices, in seeded order
+    (sorted, then shuffled), admitting every vertex with no edge into the
+    class, until a pass admits nothing.
+    """
+    rng = random.Random(seed)
+
+    def shuffled(items) -> list[int]:
+        out = sorted(items)
+        rng.shuffle(out)
+        return out
+
+    adjacency = g.neighbours
+    uncoloured = set(g.vertices)
+    classes: list[set[int]] = []
+    current = {rng.choice(sorted(uncoloured))}
+    while True:
+        while True:
+            regions, stranded = layer_adjacency(adjacency, uncoloured, current)
+            candidates = shuffled(regions[2]) if len(regions) >= 3 else []
+            candidates += shuffled(stranded)
+            admitted = False
+            for v in candidates:
+                if not (adjacency[v] & current):
+                    current.add(v)
+                    admitted = True
+            if not admitted:
+                break
+        classes.append(current)
+        uncoloured -= current
+        if not uncoloured:
+            break
+        isolated = [v for v in uncoloured if not (adjacency[v] & uncoloured)]
+        current = {rng.choice(sorted(isolated or uncoloured))}
+    return Coloring.from_assignment({v: i + 1 for i, cls in enumerate(classes) for v in cls})
 
 
 def brute_chromatic(g: MultiTraversalRelation) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import shlex
 
@@ -178,6 +179,14 @@ class TestPartitionCmd:
     def test_bad_seed_list(self, capsys, c5_file):
         assert run(capsys, "partition", c5_file, "--seeds", "1,x")[0] == 1
 
+    @pytest.mark.parametrize("seeds", ["1_0,+3", "\u0661", "-1"])
+    def test_seeds_are_ascii_digits(self, capsys, c5_file, seeds):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._int_list(seeds)
+        code, out, err = run(capsys, "partition", c5_file, "--seeds", seeds)
+        assert (code, out) == (1, "")
+        assert "expected integers like 1,16" in err
+
 
 class TestBocpsCmd:
     def test_row(self, capsys):
@@ -324,6 +333,12 @@ class TestSequencesCmd:
         code, out, err = run(capsys, "sequences", "path", "--arcs", "0-1")
         assert (code, out) == (1, "")
         assert err == "usage error: argument --arcs: vertex ids must be positive, got arc (0, 1)\n"
+
+    @pytest.mark.parametrize("arcs", ["1_0-2,2-1_0", "+1-2", "1--2", "\u0661-2"])
+    def test_arc_ids_are_ascii_digits(self, capsys, arcs):
+        with pytest.raises(argparse.ArgumentTypeError, match="bad arc token"):
+            cli._arc_sequence(arcs)
+        assert run(capsys, "sequences", "path", "--arcs", arcs)[0] == 1
 
 
 class TestClassifyCmd:

@@ -19,6 +19,7 @@ from relgraph import (
     enumerate_mcivs,
     gen_complete,
     gen_cycle,
+    gen_cycle_sequence,
     gen_dodecahedron,
     gen_grid,
     gen_path,
@@ -27,7 +28,15 @@ from relgraph import (
     verify_coloring,
 )
 
-from conftest import brute_chromatic, petersen, random_connected_symmetric, random_cubic
+import relgraph.coloring
+from conftest import (
+    brute_chromatic,
+    layered_bogpc,
+    petersen,
+    random_connected_multigraph,
+    random_connected_symmetric,
+    random_cubic,
+)
 
 
 def sym(*edges: tuple[int, int]) -> MultiTraversalRelation:
@@ -117,18 +126,51 @@ class TestHeuristics:
         assert bogpc(g, 11).assignment == bogpc(g, 11).assignment
         assert boerc(g, 11).assignment == boerc(g, 11).assignment
 
-    # seeds 0..39 pin each heuristic's seeded draw sequence across versions,
-    # which the k-window tests above cannot see
-    @pytest.mark.parametrize("algo, make, digest", [
-        (bogpc, gen_dodecahedron, "0c548594d038175b1318bca584aaaf1a1e88c5dc6f0f95fceab65020ecbb159d"),
-        (boerc, gen_dodecahedron, "68ffeb2adfd858d0b7cbfdce5334e3a30838416fb576dccc8082d00e95df22ad"),
-        (bogpc, lambda: random_relabel(gen_grid(7, 8), 1),
+    # the seeds pin each heuristic's seeded draw sequence across versions,
+    # which the k-window tests above cannot see; the 30x40 grid and cycleseq(9, 4)
+    # grow classes over enough passes to exercise bogpc's ring updates
+    @pytest.mark.parametrize("algo, make, seeds, digest", [
+        (bogpc, gen_dodecahedron, range(40),
+         "0c548594d038175b1318bca584aaaf1a1e88c5dc6f0f95fceab65020ecbb159d"),
+        (boerc, gen_dodecahedron, range(40),
+         "68ffeb2adfd858d0b7cbfdce5334e3a30838416fb576dccc8082d00e95df22ad"),
+        (bogpc, lambda: random_relabel(gen_grid(7, 8), 1), range(40),
          "c4aeb020c3f8261965724218bfa7b33f22fe3719fe1d85b3118d74d8120153cc"),
-        (boerc, lambda: random_relabel(gen_grid(7, 8), 1),
+        (boerc, lambda: random_relabel(gen_grid(7, 8), 1), range(40),
          "01f0eb2f56750811763810b18652c03834e66da3f89b07daf41e048a2948cdca"),
-    ], ids=["bogpc-dodecahedron", "boerc-dodecahedron", "bogpc-grid", "boerc-grid"])
-    def test_seeded_assignments_pinned(self, algo, make, digest):
-        assert seeded_digest(algo, make(), range(40)) == digest
+        (bogpc, lambda: random_relabel(gen_grid(30, 40), 1), range(10),
+         "3cb5f2fd607863cdfb8c78bfc759937b10a50b5426e4caf89c5a8e629195246c"),
+        (bogpc, lambda: gen_cycle_sequence(9, 4), range(40),
+         "b214f4a439dc17eff390679dd011437aeb31f7be2854df8e23a36b4f2a58eac8"),
+    ], ids=["bogpc-dodecahedron", "boerc-dodecahedron", "bogpc-grid", "boerc-grid",
+            "bogpc-grid-30x40", "bogpc-cycleseq-9-4"])
+    def test_seeded_assignments_pinned(self, algo, make, seeds, digest):
+        assert seeded_digest(algo, make(), seeds) == digest
+
+    def test_bogpc_equals_layered_route(self, rnd):
+        # the ring updates against a full re-layering after every pass
+        cases = [(random_connected_symmetric(rnd), s) for s in range(80)]
+        cases += [(random_connected_multigraph(rnd, max_n=12, max_weight=3), s) for s in range(80)]
+        cases += [(random_relabel(gen_grid(rows, 9), s), s) for rows in (2, 5, 8, 11) for s in range(10)]
+        for g, seed in cases:
+            assert bogpc(g, seed) == layered_bogpc(g, seed)
+
+    @pytest.mark.parametrize("make", [lambda: random_relabel(gen_grid(30, 40), 1), gen_dodecahedron],
+                             ids=["grid-30x40", "dodecahedron"])
+    def test_bogpc_lays_out_once_per_class(self, monkeypatch, make):
+        g = make()
+        real = relgraph.coloring.layer_adjacency
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(relgraph.coloring, "layer_adjacency", counted)
+        for seed in range(3):
+            calls.clear()
+            colouring = bogpc(g, seed)
+            assert len(calls) == colouring.k
 
     def test_rejects_disconnected(self):
         g = MultiTraversalRelation.from_arcs([(1, 2), (2, 1), (3, 4), (4, 3)])

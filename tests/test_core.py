@@ -110,6 +110,35 @@ class TestParse:
         g = MultiTraversalRelation.from_arcs(entries)
         assert parse_graph(serialize_graph(g)) == g
 
+    # int() alone reads "1_0" as 10, "+2" as 2 and Arabic-Indic digits as ASCII ones
+    @pytest.mark.parametrize("text, line", [
+        ("1_0 +2\n2 1_0\n", 1),
+        ("\u0661 \u0662\n", 1),
+        ("1 2\n2 1 +3\n", 2),
+        ("1 2\n-1 2\n", 2),
+        ("1 2\n2 1 \u00b2\n", 2),
+    ], ids=["underscore-sign", "arabic-indic", "signed-weight", "negative", "superscript"])
+    def test_fields_are_ascii_digits(self, text, line):
+        with pytest.raises(ParseError, match="ASCII digits") as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+
+    def test_comment_may_hold_any_text(self):
+        assert parse_graph("1 2 # \u0661_+\n2 1\n") == parse_graph("1 2\n2 1\n")
+
+    @given(st.text(alphabet="0123 \t\n#+_-x\u0661", max_size=40))
+    @settings(max_examples=200)
+    def test_accepted_text_round_trips(self, text):
+        try:
+            g = parse_graph(text)
+        except (ParseError, DomainError):
+            return
+        assert all(tok.isascii() and tok.isdigit()
+                   for line in text.splitlines() for tok in line.partition("#")[0].split())
+        written = serialize_graph(g)
+        assert parse_graph(written) == g
+        assert serialize_graph(parse_graph(written)) == written
+
 
 class TestPartitions:
     def test_unit_subgraphs_complete(self):
